@@ -8,6 +8,7 @@ stored; they are derived by transitive closure of the facet records.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -182,27 +183,23 @@ def build_simplicial(maximal_simplices: Iterable[Sequence]) -> Complex:
 
 
 def validate(X: Complex) -> ValidationReport:
-    """Check structural soundness and, for all-regular complexes, the chain
-    condition sum([tau:sigma][sigma:rho]) = 0 over intermediate facets."""
+    """Check the facet records and, for all-regular complexes, the chain
+    condition sum([tau:sigma][sigma:rho]) = 0 over intermediate facets.
+
+    Unknown cells and non-facet records are already rejected when the
+    complex is built.
+    """
     violations: list[RuleViolation] = []
+    for (parent, child), n in Counter((rec.parent, rec.child) for rec in X.faces).items():
+        if n > 1:
+            violations.append(
+                RuleViolation(
+                    "duplicate-record",
+                    (parent, child),
+                    f"record {parent!r} > {child!r} appears {n} times",
+                )
+            )
     for rec in X.faces:
-        if rec.parent not in X.cells or rec.child not in X.cells:
-            violations.append(
-                RuleViolation(
-                    "dangling-reference",
-                    (rec.parent, rec.child),
-                    f"record {rec.parent!r} > {rec.child!r} references unknown cell",
-                )
-            )
-            continue
-        if X.dim(rec.child) != X.dim(rec.parent) - 1:
-            violations.append(
-                RuleViolation(
-                    "dim-mismatch",
-                    (rec.parent, rec.child),
-                    f"record {rec.parent!r} > {rec.child!r} is not a facet relation",
-                )
-            )
         if rec.regular and rec.incidence not in (1, -1):
             violations.append(
                 RuleViolation(
@@ -212,38 +209,10 @@ def validate(X: Complex) -> ValidationReport:
                     f"{rec.incidence}",
                 )
             )
-    violations.extend(_poset_cycles(X))
     if all(rec.regular for rec in X.faces):
         violations.extend(_chain_condition(X))
     violations.sort(key=lambda v: (v.rule, v.cells))
     return ValidationReport(not violations, tuple(violations))
-
-
-def _poset_cycles(X: Complex) -> list[RuleViolation]:
-    # Facet records with consistent dims cannot form cycles; this guards
-    # hand-built Complex instances with inconsistent data.
-    color: dict[str, int] = {}
-    out = []
-
-    def visit(cid: str, stack: list[str]) -> None:
-        color[cid] = 1
-        stack.append(cid)
-        for rec in X.facet_records(cid):
-            child = rec.child
-            if color.get(child) == 1:
-                cycle = tuple(stack[stack.index(child) :])
-                out.append(
-                    RuleViolation("poset-cycle", cycle, f"face poset cycle at {child!r}")
-                )
-            elif color.get(child, 0) == 0:
-                visit(child, stack)
-        stack.pop()
-        color[cid] = 2
-
-    for cid in X.ids():
-        if color.get(cid, 0) == 0:
-            visit(cid, [])
-    return out
 
 
 def _chain_condition(X: Complex) -> list[RuleViolation]:

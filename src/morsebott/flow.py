@@ -203,12 +203,18 @@ def cross_collection_orbits(
     return OrbitList(annotated, found.truncated)
 
 
+def _dot_string(text: str) -> str:
+    """``text`` as a quoted DOT string."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(V: ArrowSet, X: Complex) -> str:
     """The arrow digraph in DOT format, one node per cell."""
     lines = ["digraph vector_field {"]
     for cid in X.ids():
-        lines.append(f'  "{cid}" [label="{cid} ({X.dim(cid)})"];')
+        label = _dot_string(f"{cid} ({X.dim(cid)})")
+        lines.append(f"  {_dot_string(cid)} [label={label}];")
     for src, dst in sorted(V.arrows):
-        lines.append(f'  "{src}" -> "{dst}";')
+        lines.append(f"  {_dot_string(src)} -> {_dot_string(dst)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -39,6 +39,19 @@ RP2_TRIANGLES = [
 ]
 
 
+def torus_triangles(n: int) -> list[tuple[str, str, str]]:
+    """The n x n triangulated torus: n^2 vertices, 3n^2 edges, 2n^2 triangles."""
+    tris = []
+    for i in range(n):
+        for j in range(n):
+            a = f"x{i}y{j}"
+            b = f"x{(i + 1) % n}y{j}"
+            c = f"x{(i + 1) % n}y{(j + 1) % n}"
+            d = f"x{i}y{(j + 1) % n}"
+            tris += [(a, b, c), (a, d, c)]
+    return tris
+
+
 @pytest.fixture
 def point():
     return build_simplicial([("p",)])

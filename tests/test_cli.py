@@ -20,6 +20,9 @@ HOLLOW_CONST = (
     "value a 0\nvalue b 0\nvalue c 0\nvalue a-b 0\nvalue a-c 0\nvalue b-c 0\n"
 )
 BROKEN = "cell v 0\ncell e 1\nface e v 2 r\n"
+DUPLICATE = (
+    "cell v 0\ncell w 0\ncell e 1\nface e v 1 r\nface e v 1 r\nface e w -1 r\n"
+)
 STAR = "simplex a n\nsimplex b n\nsimplex c n\n"
 STAR_BAD = (
     "value n 3\nvalue a-n 1\nvalue b-n 2\nvalue c-n 3\n"
@@ -108,6 +111,13 @@ class TestValidateCommand:
 
     def test_ok(self, files, capsys):
         assert run(["validate", files("k.cw", TRIANGLE)]) == 0
+
+    def test_duplicate_record(self, files, capsys):
+        path = files("dup.cw", DUPLICATE)
+        code, data = run_json(capsys, ["validate", path])
+        assert code == 2
+        assert [v["rule"] for v in data["violations"]] == ["duplicate-record"]
+        assert run(["homology", path]) == 2
 
     def test_no_validate_lets_broken_load(self, files, capsys):
         code, data = run_json(capsys, ["--no-validate", "homology", files("bad.cw", BROKEN)])

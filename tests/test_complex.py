@@ -99,6 +99,19 @@ class TestValidate:
         report = validate(X)
         assert any(v.rule == "regular-incidence" for v in report.violations)
 
+    def test_duplicate_record(self):
+        # Read as written, the repeated record gives the regular edge the
+        # boundary 2v - w.
+        X = build_from_incidence(
+            [("v", 0), ("w", 0), ("e", 1)],
+            [("e", "v", 1, True), ("e", "v", 1, True), ("e", "w", -1, True)],
+        )
+        report = validate(X)
+        assert not report.ok
+        assert [(v.rule, v.cells) for v in report.violations] == [
+            ("duplicate-record", ("e", "v"))
+        ]
+
     def test_random_simplicial_always_valid(self):
         rng = random.Random(99)
         for _ in range(25):

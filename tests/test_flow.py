@@ -8,6 +8,7 @@ from morsebott import (
     collections,
     cross_collection_orbits,
     is_combinatorial,
+    parse_complex,
     vector_field,
 )
 from morsebott.flow import to_dot
@@ -192,3 +193,8 @@ def test_dot_export(segment, segment_function):
     dot = to_dot(V, segment)
     assert dot.startswith("digraph")
     assert '"v" -> "v-w";' in dot
+    X = parse_complex('simplex a" b\\c\n')
+    dot = to_dot(vector_field(X, DiscreteFunction.by_dimension(X)), X)
+    assert '  "a\\"" [label="a\\" (0)"];' in dot
+    assert '  "b\\\\c" [label="b\\\\c (0)"];' in dot
+    assert '  "a\\"-b\\\\c" [label="a\\"-b\\\\c (1)"];' in dot

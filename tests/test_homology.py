@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 import sympy
@@ -11,6 +12,7 @@ from morsebott import (
     Z2,
     betti,
     build_from_incidence,
+    build_simplicial,
     chain_complex,
     closure,
     collections,
@@ -18,11 +20,14 @@ from morsebott import (
     poincare_polynomial,
     reduce_collection,
     reduced_boundary,
+    reduced_collections,
     relative_chain_complex,
     restrict,
     smith_normal_form,
 )
-from morsebott.homology import rank_mod2
+from morsebott.cli import report
+from morsebott.homology import invariant_factors, rank_mod2
+from conftest import torus_triangles
 
 
 class TestPolynomial:
@@ -85,6 +90,85 @@ def test_rank_mod2():
     assert rank_mod2([[1, 1], [1, 1]]) == 1
     assert rank_mod2([[2, 4], [6, 8]]) == 0
     assert rank_mod2([]) == 0
+
+
+def sparse_columns(rows):
+    n = len(rows[0]) if rows else 0
+    return [[(i, row[j]) for i, row in enumerate(rows) if row[j]] for j in range(n)]
+
+
+def random_integer_matrix(rng):
+    """Mostly sparse, with non-unit entries and some zero rows and columns."""
+    m, n = rng.randint(0, 9), rng.randint(0, 9)
+    pool = rng.choice([(0, 0, 1, -1), (0, 0, 0, 1, -1, 2, -2, 3, 4, 6, -6), (0, 2, -2, 3, 4, 6)])
+    rows = [[rng.choice(pool) for _ in range(n)] for _ in range(m)]
+    for i in rng.sample(range(m), rng.randint(0, m // 3)):
+        rows[i] = [0] * n
+    for j in rng.sample(range(n), rng.randint(0, n // 3)):
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
+class TestEngineOracle:
+    """The sparse unit-pivot engine against the dense references."""
+
+    def test_random_matrices(self):
+        rng = random.Random(31)
+        for _ in range(2500):
+            rows = random_integer_matrix(rng)
+            columns = sparse_columns(rows)
+            assert invariant_factors(columns, Z) == smith_normal_form(rows).factors
+            assert len(invariant_factors(columns, Z2)) == rank_mod2(rows)
+
+    def test_corpus_chain_complexes(self, mb_corpus_small):
+        for X, f in mb_corpus_small:
+            for ring in (Z, Z2):
+                complexes = [chain_complex(X, ring)] + [
+                    reduced_boundary(X, R, ring) for R in reduced_collections(X, f)
+                ]
+                for cc in complexes:
+                    for k in range(cc.top + 1):
+                        got = invariant_factors(cc.columns[k], ring)
+                        if ring == Z:
+                            assert got == smith_normal_form(cc.dense(k)).factors
+                        else:
+                            assert len(got) == rank_mod2(cc.dense(k))
+
+    def test_first_failing_pair_is_reported(self):
+        # d(d t) = 2a - b: the first offending face in basis order is a.
+        X = build_from_incidence(
+            [("a", 0), ("b", 0), ("e", 1), ("t", 2)],
+            [("e", "a", 2, False), ("e", "b", -1, False), ("t", "e", 1, False)],
+        )
+        with pytest.raises(ValueError, match="between 't' and 'a'"):
+            chain_complex(X)
+        with pytest.raises(ValueError, match="between 't' and 'b'"):
+            chain_complex(X, Z2)
+
+
+class TestScale:
+    """Known homology on inputs far beyond the corpus's 25 cells."""
+
+    def test_torus_20x20(self):
+        X = build_simplicial(torus_triangles(20))
+        assert len(X) == 2400
+        for ring in (Z, Z2):
+            summary = betti(chain_complex(X, ring))
+            assert summary.betti == (1, 2, 1)
+            assert summary.torsion == ((), (), ())
+
+    def test_boundary_of_4_simplex(self):
+        X = build_simplicial(combinations("abcde", 4))
+        for ring in (Z, Z2):
+            summary = betti(chain_complex(X, ring))
+            assert summary.betti == (1, 0, 0, 1)
+            assert all(not t for t in summary.torsion)
+
+    def test_report_torus_10x10(self):
+        X = build_simplicial(torus_triangles(10))
+        document = report(X, DiscreteFunction.by_dimension(X))
+        assert document.data["ok"] is True
 
 
 class TestChainComplex:
