@@ -61,6 +61,7 @@ from .flow import (
     vector_field,
 )
 from .analysis import (
+    Analysis,
     InequalityReport,
     collection_defect,
     euler_summary,

@@ -1,27 +1,40 @@
-"""Morse-Bott inequality assembly: defect polynomials, the correction term
-R(t), kernel-sum comparisons, and Euler summaries."""
+"""One analysis per (X, f), and the Morse-Bott inequalities read from it.
+
+The inequalities and their Conley form are sums over the same reduced
+collections of the same restricted-boundary homology.  :class:`Analysis`
+computes these facts once per (X, f); the inequality, kernel-sum and Conley
+reports, and the public functions that return them, are views on it.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .complex import Complex
+from .conley import ConleyReport, IndexPair, InvariantSetEntry, index_pair
+from .flow import ArrowSet, OrbitList, closed_orbits, crossing_orbits, vector_field
 from .homology import (
+    HomologySummary,
     Polynomial,
     Z,
     _assemble,
     betti,
     chain_complex,
+    euler_characteristic,
     poincare_polynomial,
     reduced_boundary,
 )
 from .morse import (
+    Collection,
     DiscreteFunction,
     MorseBottVerdict,
     ReducedCollection,
     check_morse_bott,
-    reduced_collections,
+    collections,
+    is_noncritical_pair,
+    reduce_collection,
 )
 
 
@@ -66,9 +79,10 @@ def collection_defect(X: Complex, R: ReducedCollection) -> Polynomial:
     """
     if not R.cells:
         raise ValueError("empty reduced collection")
-    counts = _cell_counts(R)
-    cc = reduced_boundary(X, R, Z)
-    summary = betti(cc)
+    return _defect(_cell_counts(R), betti(reduced_boundary(X, R, Z)))
+
+
+def _defect(counts: tuple[int, ...], summary: HomologySummary) -> Polynomial:
     quotient, remainder = (Polynomial(counts) - poincare_polynomial(summary)).divide_by_one_plus_t()
     if remainder != 0:
         raise ValueError("defect division left a remainder")
@@ -82,15 +96,132 @@ def collection_defect(X: Complex, R: ReducedCollection) -> Polynomial:
     return quotient
 
 
-def _require_morse_bott(X: Complex, f: DiscreteFunction) -> MorseBottVerdict:
-    verdict = check_morse_bott(X, f)
-    if not verdict.ok:
-        first = verdict.violations[0]
-        raise ValueError(
-            f"function is not discrete Morse-Bott "
-            f"({len(verdict.violations)} violations, first: {first.rule} at {first.cell!r})"
+class Analysis:
+    """Every fact about one function f on one complex X, each computed once.
+
+    Properties are cached for the life of the instance.  ``arrows`` replaces
+    the vector field of f; ``max_orbits`` caps the orbit search.
+    """
+
+    def __init__(self, X: Complex, f: DiscreteFunction, arrows=None, max_orbits=1000):
+        self.X, self.f, self.max_orbits = X, f, max_orbits
+        if arrows is not None:
+            self.arrows = arrows  # shadows the cached property
+        self._homology: dict[frozenset[str], HomologySummary] = {}
+
+    @cached_property
+    def verdict(self) -> MorseBottVerdict:
+        return check_morse_bott(self.X, self.f)
+
+    @cached_property
+    def collections(self) -> list[Collection]:
+        return collections(self.X, self.f)
+
+    @cached_property
+    def reduced(self) -> list[ReducedCollection]:
+        """The reductions of all collections, empty ones and pairs included."""
+        return [reduce_collection(self.X, self.f, C) for C in self.collections]
+
+    @cached_property
+    def invariant_sets(self) -> list[ReducedCollection]:
+        """Nonempty reduced collections that are not noncritical pairs (the
+        sets the inequalities sum over); raises unless f is Morse-Bott."""
+        violations = self.verdict.violations
+        if violations:
+            raise ValueError(
+                f"function is not discrete Morse-Bott ({len(violations)} violations, "
+                f"first: {violations[0].rule} at {violations[0].cell!r})"
+            )
+        return [R for R in self.reduced if R.cells and not is_noncritical_pair(R)]
+
+    def homology(self, cells: frozenset[str]) -> HomologySummary:
+        """Z homology of the boundary restricted to ``cells``."""
+        if cells not in self._homology:
+            self._homology[cells] = betti(reduced_boundary(self.X, cells, Z))
+        return self._homology[cells]
+
+    @cached_property
+    def poincare(self) -> Polynomial:
+        return poincare_polynomial(betti(chain_complex(self.X, Z)))
+
+    @cached_property
+    def arrows(self) -> ArrowSet:
+        return vector_field(self.X, self.f)
+
+    @cached_property
+    def orbits(self) -> OrbitList:
+        return closed_orbits(self.arrows, self.X, self.max_orbits)
+
+    @cached_property
+    def cross_orbits(self) -> OrbitList:
+        return crossing_orbits(self.orbits, self.collections)
+
+    @cached_property
+    def inequalities(self) -> InequalityReport:
+        entries = []
+        total = Polynomial()
+        for R in self.invariant_sets:
+            summary = self.homology(R.cells)
+            poly = poincare_polynomial(summary)
+            counts = _cell_counts(R)
+            entries.append(
+                CollectionEntry(R.parent, R.value, counts, poly, _defect(counts, summary))
+            )
+            total = total + poly
+        correction, remainder = (total - self.poincare).divide_by_one_plus_t()
+        return InequalityReport(
+            per_collection=tuple(entries),
+            poincare_complex=self.poincare,
+            poincare_sum=total,
+            correction=correction,
+            divisible=remainder == 0,
+            nonneg=correction.is_nonnegative,
+            euler_identity=total.evaluate(-1) == self.poincare.evaluate(-1),
         )
-    return verdict
+
+    @cached_property
+    def kernel_inequalities(self) -> dict[int, bool]:
+        # Kernel dimensions per degree, held as polynomial coefficients.
+        summed = Polynomial()
+        for R in self.invariant_sets:
+            summed = summed + Polynomial(self.homology(R.cells).kernel_dims)
+        union = frozenset().union(*(R.cells for R in self.invariant_sets))
+        whole = Polynomial(betti(_assemble(self.X, union, Z)).kernel_dims)
+        return {k: summed[k] >= whole[k] for k in range(1, max(self.X.top_dim, 0) + 1)}
+
+    @cached_property
+    def index_pairs(self) -> list[IndexPair]:
+        return [index_pair(self.X, self.f, I) for I in self.invariant_sets]
+
+    @cached_property
+    def conley(self) -> ConleyReport:
+        entries = []
+        total = Polynomial()
+        for pair in self.index_pairs:
+            # index_pair checked N - E = I, so the relative complex of (N, E)
+            # is the restricted boundary of I, and chi(N) - chi(E) counts cells.
+            I = pair.invariant
+            summary = self.homology(I.cells)
+            chi_n, chi_e = (
+                sum((-1) ** self.X.dim(c) for c in S) for S in (pair.neighborhood, pair.exit_set)
+            )
+            chi = euler_characteristic(summary)
+            index = poincare_polynomial(summary)
+            entries.append(
+                InvariantSetEntry(I.parent, index, chi_n, chi_e, chi, chi == chi_n - chi_e)
+            )
+            total = total + index
+        ineq = self.inequalities
+        correction, remainder = (total - ineq.poincare_complex).divide_by_one_plus_t()
+        return ConleyReport(
+            per_set=tuple(entries),
+            poincare_complex=ineq.poincare_complex,
+            conley_sum=total,
+            correction=correction,
+            divisible=remainder == 0,
+            nonneg=correction.is_nonnegative,
+            agrees_with_reduced=total == ineq.poincare_sum,
+        )
 
 
 def morse_bott_inequalities(X: Complex, f: DiscreteFunction) -> InequalityReport:
@@ -100,26 +231,7 @@ def morse_bott_inequalities(X: Complex, f: DiscreteFunction) -> InequalityReport
     the sum.  Divisibility failure or a negative coefficient is reported in
     the verdict flags, never raised.
     """
-    _require_morse_bott(X, f)
-    entries = []
-    total = Polynomial()
-    for R in reduced_collections(X, f):
-        poly = poincare_polynomial(betti(reduced_boundary(X, R, Z)))
-        entries.append(
-            CollectionEntry(R.parent, R.value, _cell_counts(R), poly, collection_defect(X, R))
-        )
-        total = total + poly
-    complex_poly = poincare_polynomial(betti(chain_complex(X, Z)))
-    correction, remainder = (total - complex_poly).divide_by_one_plus_t()
-    return InequalityReport(
-        per_collection=tuple(entries),
-        poincare_complex=complex_poly,
-        poincare_sum=total,
-        correction=correction,
-        divisible=remainder == 0,
-        nonneg=correction.is_nonnegative,
-        euler_identity=total.evaluate(-1) == complex_poly.evaluate(-1),
-    )
+    return Analysis(X, f).inequalities
 
 
 def kernel_inequality_check(X: Complex, f: DiscreteFunction) -> dict[int, bool]:
@@ -131,26 +243,7 @@ def kernel_inequality_check(X: Complex, f: DiscreteFunction) -> dict[int, bool]:
     ordered by value, with the per-collection operators on the diagonal, so
     every entry should come out True for a discrete Morse-Bott function.
     """
-    _require_morse_bott(X, f)
-    sets = reduced_collections(X, f)
-    union: frozenset[str] = frozenset().union(*(R.cells for R in sets)) if sets else frozenset()
-    restricted = _assemble(X, union, Z)
-    summed: dict[int, int] = {}
-    for R in sets:
-        summary = betti(reduced_boundary(X, R, Z))
-        for k, dim in enumerate(summary.kernel_dims):
-            summed[k] = summed.get(k, 0) + dim
-    restricted_summary = betti(restricted) if union else None
-    out = {}
-    for k in range(1, max(X.top_dim, 0) + 1):
-        lhs = summed.get(k, 0)
-        rhs = (
-            restricted_summary.kernel_dims[k]
-            if restricted_summary is not None and k <= restricted.top
-            else 0
-        )
-        out[k] = lhs >= rhs
-    return out
+    return Analysis(X, f).kernel_inequalities
 
 
 def euler_summary(report: InequalityReport) -> tuple[int, int, bool]:

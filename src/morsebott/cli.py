@@ -12,7 +12,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import analysis, conley, flow, morse
+from . import flow, morse
+from .analysis import Analysis, euler_summary
 from .complex import Complex, ValidationError, validate
 from .homology import Z, Z2, betti, chain_complex, poincare_polynomial
 from .io import (
@@ -75,6 +76,8 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "max_orbits", 0) < 0:
+            parser.error("argument --max-orbits: must be at least 0")
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
@@ -111,8 +114,9 @@ def _load_complex(args) -> Complex:
     return parse_complex(_read(args.complex_file), validate=not args.no_validate)
 
 
-def _load_function(args, X: Complex):
-    return parse_function(_read(args.function_file), X)
+def _load(args) -> tuple[Complex, morse.DiscreteFunction]:
+    X = _load_complex(args)
+    return X, parse_function(_read(args.function_file), X)
 
 
 def _emit(args, payload) -> None:
@@ -128,24 +132,15 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_morse_check(args) -> int:
-    X = _load_complex(args)
-    f = _load_function(args, X)
-    verdict = morse.check_morse_bott(X, f)
-    _emit(
-        args,
-        {"morse_bott": verdict, "discrete_morse": morse.check_discrete_morse(X, f)},
-    )
-    return OK if verdict.ok else INVALID
+    a = Analysis(*_load(args))
+    _emit(args, {"morse_bott": a.verdict, "discrete_morse": morse.check_discrete_morse(a.X, a.f)})
+    return OK if a.verdict.ok else INVALID
 
 
 def _cmd_collections(args) -> int:
-    X = _load_complex(args)
-    f = _load_function(args, X)
-    verdict = morse.check_morse_bott(X, f)
-    colls = morse.collections(X, f)
-    payload = {"morse_bott_ok": verdict.ok, "collections": colls}
-    if verdict.ok:
-        reduced = [morse.reduce_collection(X, f, C) for C in colls]
+    a = Analysis(*_load(args))
+    payload = {"morse_bott_ok": a.verdict.ok, "collections": a.collections}
+    if a.verdict.ok:
         payload["reduced"] = [
             {
                 "parent": R.parent,
@@ -153,12 +148,12 @@ def _cmd_collections(args) -> int:
                 "noncritical_pair": morse.is_noncritical_pair(R),
                 "classification": R.classification,
             }
-            for R in reduced
+            for R in a.reduced
         ]
     else:
-        payload["violations"] = verdict.violations
+        payload["violations"] = a.verdict.violations
     _emit(args, payload)
-    return OK if verdict.ok else INVALID
+    return OK if a.verdict.ok else INVALID
 
 
 def _cmd_homology(args) -> int:
@@ -178,56 +173,43 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_flow(args) -> int:
-    X = _load_complex(args)
-    f = _load_function(args, X)
-    V = flow.vector_field(X, f)
-    orbits = flow.closed_orbits(V, X, args.max_orbits)
-    cross = flow.cross_collection_orbits(V, X, morse.collections(X, f), args.max_orbits)
+    a = Analysis(*_load(args), max_orbits=args.max_orbits)
     if args.dot:
-        Path(args.dot).write_text(flow.to_dot(V, X), encoding="utf-8")
+        Path(args.dot).write_text(flow.to_dot(a.arrows, a.X), encoding="utf-8")
     _emit(
         args,
         {
-            "arrows": sorted(V.arrows),
-            "combinatorial": flow.is_combinatorial(V, X),
-            "closed_orbits": [o.cells for o in orbits],
-            "truncated": orbits.truncated,
-            "cross_collection_orbits": [
-                {"cells": o.cells, "collections": o.collections} for o in cross
-            ],
+            "arrows": sorted(a.arrows.arrows),
+            "combinatorial": flow.is_combinatorial(a.arrows, a.X),
+            "closed_orbits": [o.cells for o in a.orbits],
+            "truncated": a.orbits.truncated,
+            "cross_collection_orbits": a.cross_orbits,
         },
     )
     return OK
 
 
+def _inequality_sections(a: Analysis) -> dict:
+    chi_complex, chi_sum, chi_ok = euler_summary(a.inequalities)
+    return {
+        "inequalities": a.inequalities,
+        "kernel_inequalities": a.kernel_inequalities,
+        "euler": {"complex": chi_complex, "collections": chi_sum, "equal": chi_ok},
+    }
+
+
 def _cmd_inequalities(args) -> int:
-    X = _load_complex(args)
-    f = _load_function(args, X)
-    report = analysis.morse_bott_inequalities(X, f)
-    kernel = analysis.kernel_inequality_check(X, f)
-    chi_complex, chi_sum, chi_ok = analysis.euler_summary(report)
-    _emit(
-        args,
-        {
-            "inequalities": report,
-            "kernel_inequalities": kernel,
-            "euler": {"complex": chi_complex, "collections": chi_sum, "equal": chi_ok},
-        },
-    )
-    return OK if report.ok and all(kernel.values()) else INVALID
+    a = Analysis(*_load(args))
+    _emit(args, _inequality_sections(a))
+    return OK if a.inequalities.ok and all(a.kernel_inequalities.values()) else INVALID
 
 
 def _cmd_conley(args) -> int:
-    X = _load_complex(args)
-    f = _load_function(args, X)
-    report = conley.conley_theorem_check(X, f)
-    pairs = [
-        conley.index_pair(X, f, I) for I in conley.isolated_invariant_sets(X, f)
-    ]
+    a = Analysis(*_load(args))
     _emit(
         args,
         {
-            "conley": report,
+            "conley": a.conley,
             "index_pairs": [
                 {
                     "invariant": sorted(p.invariant.cells),
@@ -235,16 +217,15 @@ def _cmd_conley(args) -> int:
                     "exit_set": p.exit_set,
                     "exit_cells": p.exit_cells,
                 }
-                for p in pairs
+                for p in a.index_pairs
             ],
         },
     )
-    return OK if report.ok else INVALID
+    return OK if a.conley.ok else INVALID
 
 
 def _cmd_perturb(args) -> int:
-    X = _load_complex(args)
-    f = _load_function(args, X)
+    a = Analysis(*_load(args))
     if args.epsilon != "auto":
         try:
             epsilon = Fraction(args.epsilon)
@@ -254,61 +235,47 @@ def _cmd_perturb(args) -> int:
             raise _UsageError("epsilon must be positive")
     else:
         epsilon = "auto"
-    verdict = morse.check_morse_bott(X, f)
-    if not verdict.ok:
-        _emit(args, verdict)
+    if not a.verdict.ok:
+        _emit(args, a.verdict)
         return INVALID
-    perturbed = morse.perturb(X, f, epsilon)
+    perturbed = morse.perturb(a.X, a.f, epsilon)
     if args.json:
         _emit(args, {"values": {cid: value for cid, value in perturbed.items()}})
     else:
-        sys.stdout.write(serialize_function(perturbed, X))
+        sys.stdout.write(serialize_function(perturbed, a.X))
     return OK
 
 
 def report(X: Complex, f, arrows=None, max_orbits: int | None = 1000) -> ReportDocument:
-    """Aggregate every check into one document with a top-level ``ok``."""
-    mb = morse.check_morse_bott(X, f)
-    dm = morse.check_discrete_morse(X, f)
-    payload: dict = {"morse_bott": mb, "discrete_morse_ok": dm.ok}
-    colls = morse.collections(X, f)
-    payload["collections"] = [
-        {"id": C.id, "value": C.value, "cells": C.cells} for C in colls
-    ]
-    V = arrows if arrows is not None else flow.vector_field(X, f)
-    orbits = flow.closed_orbits(V, X, max_orbits)
-    cross = flow.cross_collection_orbits(V, X, colls, max_orbits)
-    payload["flow"] = {
-        "arrows": len(V.arrows),
-        "closed_orbits": len(orbits),
-        "truncated": orbits.truncated,
-        "cross_collection_orbits": [
-            {"cells": o.cells, "collections": o.collections} for o in cross
-        ],
+    """Aggregate every check into one document with a top-level ``ok``.
+
+    Every section reads one :class:`Analysis`, so each fact is computed
+    once.  ``arrows``, when given, replaces the vector field of f in the
+    flow section (say, a field that is not the gradient of f); the other
+    sections depend on f alone.
+    """
+    a = Analysis(X, f, arrows, max_orbits)
+    payload: dict = {
+        "morse_bott": a.verdict,
+        "discrete_morse_ok": morse.check_discrete_morse(X, f).ok,
+        "collections": a.collections,
+        "flow": {
+            "arrows": len(a.arrows),
+            "closed_orbits": len(a.orbits),
+            "truncated": a.orbits.truncated,
+            "cross_collection_orbits": a.cross_orbits,
+        },
     }
-    ok = mb.ok and not cross
-    if mb.ok:
-        ineq = analysis.morse_bott_inequalities(X, f)
-        kernel = analysis.kernel_inequality_check(X, f)
-        chi_complex, chi_sum, chi_ok = analysis.euler_summary(ineq)
-        creport = conley.conley_theorem_check(X, f)
-        payload["inequalities"] = ineq
-        payload["kernel_inequalities"] = kernel
-        payload["euler"] = {
-            "complex": chi_complex,
-            "collections": chi_sum,
-            "equal": chi_ok,
-        }
-        payload["conley"] = creport
-        ok = ok and ineq.ok and all(kernel.values()) and creport.ok
+    ok = a.verdict.ok and not a.cross_orbits
+    if a.verdict.ok:
+        payload.update(_inequality_sections(a), conley=a.conley)
+        ok = ok and a.inequalities.ok and all(a.kernel_inequalities.values()) and a.conley.ok
     payload["ok"] = ok
     return serialize_report(payload)
 
 
 def _cmd_report(args) -> int:
-    X = _load_complex(args)
-    f = _load_function(args, X)
-    document = report(X, f, max_orbits=args.max_orbits)
+    document = report(*_load(args), max_orbits=args.max_orbits)
     _emit(args, document)
     return OK if document.data["ok"] else INVALID
 

@@ -1,4 +1,11 @@
-"""Index pairs and homological Conley indices for reduced collections."""
+"""Index pairs and homological Conley indices for reduced collections.
+
+The Conley report (``Analysis.conley``) builds one index pair (N, E) per
+isolated invariant set I.  ``index_pair`` checks N - E = I, so the Conley
+index is the cached homology of I; chi(N) and chi(E) are signed cell counts
+(Euler-Poincare).  ``conley_index`` and ``euler_index_check`` keep the
+independent route through ``restrict`` and relative homology as references.
+"""
 
 from __future__ import annotations
 
@@ -15,8 +22,7 @@ from .homology import (
     reduced_boundary,
     relative_chain_complex,
 )
-from .morse import DiscreteFunction, ReducedCollection, reduced_collections
-from .analysis import _require_morse_bott
+from .morse import DiscreteFunction, ReducedCollection
 
 
 @dataclass(frozen=True)
@@ -67,8 +73,9 @@ class EulerIndexVerdict:
 
 def isolated_invariant_sets(X: Complex, f: DiscreteFunction) -> list[ReducedCollection]:
     """Nonempty reduced collections that are not noncritical pairs."""
-    _require_morse_bott(X, f)
-    return reduced_collections(X, f)
+    from .analysis import Analysis  # analysis imports this module
+
+    return Analysis(X, f).invariant_sets
 
 
 def index_pair(X: Complex, f: DiscreteFunction, I: ReducedCollection) -> IndexPair:
@@ -113,33 +120,6 @@ def euler_index_check(X: Complex, f: DiscreteFunction, I: ReducedCollection) -> 
 
 def conley_theorem_check(X: Complex, f: DiscreteFunction) -> ConleyReport:
     """Assemble the summed Conley indices and split off (1 + t) R(t)."""
-    sets = isolated_invariant_sets(X, f)
-    entries = []
-    total = Polynomial()
-    reduced_total = Polynomial()
-    for I in sets:
-        index = conley_index(X, f, I)
-        euler = euler_index_check(X, f, I)
-        entries.append(
-            InvariantSetEntry(
-                I.parent,
-                index,
-                euler.chi_neighborhood,
-                euler.chi_exit,
-                euler.chi_reduced,
-                euler.ok,
-            )
-        )
-        total = total + index
-        reduced_total = reduced_total + poincare_polynomial(betti(reduced_boundary(X, I, Z)))
-    complex_poly = poincare_polynomial(betti(chain_complex(X, Z)))
-    correction, remainder = (total - complex_poly).divide_by_one_plus_t()
-    return ConleyReport(
-        per_set=tuple(entries),
-        poincare_complex=complex_poly,
-        conley_sum=total,
-        correction=correction,
-        divisible=remainder == 0,
-        nonneg=correction.is_nonnegative,
-        agrees_with_reduced=total == reduced_total,
-    )
+    from .analysis import Analysis
+
+    return Analysis(X, f).conley

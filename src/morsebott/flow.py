@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import networkx as nx
 
 from .complex import Complex
-from .morse import Collection, DiscreteFunction, _require_total, collection_of
+from .morse import Collection, DiscreteFunction, _require_total
 
 Arrow = tuple[str, str]
 
@@ -22,12 +22,6 @@ Arrow = tuple[str, str]
 @dataclass(frozen=True)
 class ArrowSet:
     arrows: frozenset[Arrow]
-
-    def sources(self) -> list[str]:
-        return sorted({a for a, _ in self.arrows})
-
-    def targets(self) -> list[str]:
-        return sorted({b for _, b in self.arrows})
 
     def __len__(self) -> int:
         return len(self.arrows)
@@ -39,18 +33,6 @@ class Orbit:
 
     cells: tuple[str, ...]
     collections: tuple[int, ...] = ()
-
-    def arrows(self) -> tuple[Arrow, ...]:
-        return tuple(
-            (self.cells[i], self.cells[i + 1]) for i in range(0, len(self.cells), 2)
-        )
-
-    def pretty(self) -> str:
-        steps = []
-        for i, cid in enumerate(self.cells):
-            steps.append(cid)
-            steps.append(" -> " if i % 2 == 0 else " > ")
-        return "".join(steps) + self.cells[0]
 
 
 class OrbitList(list):
@@ -177,7 +159,12 @@ def cross_collection_orbits(
     collections_: Sequence[Collection],
     max_orbits: int | None = None,
 ) -> OrbitList:
-    """Flow-consistent closed orbits visiting at least two collections.
+    """The :func:`crossing_orbits` among the closed orbits of V."""
+    return crossing_orbits(closed_orbits(V, X, max_orbits), collections_)
+
+
+def crossing_orbits(found: OrbitList, collections_: Sequence[Collection]) -> OrbitList:
+    """Flow-consistent orbits of ``found`` visiting at least two collections.
 
     A descent that ends on a strictly dearer cell runs against the flow (the
     exit direction of a cell is its lower-or-equal boundary), so orbits
@@ -186,9 +173,8 @@ def cross_collection_orbits(
     orbit is value non-increasing and any collection change drops the value
     strictly, hence this list is empty.
     """
-    lookup = collection_of(collections_)
+    lookup = {cid: C for C in collections_ for cid in C.cells}
     annotated = []
-    found = closed_orbits(V, X, max_orbits)
     for orbit in found:
         cells = orbit.cells
         ids = tuple(lookup[cid].id for cid in cells)

@@ -41,10 +41,6 @@ class Polynomial:
     def monomial(cls, k: int, c: int = 1) -> "Polynomial":
         return cls([0] * k + [c])
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -328,9 +324,6 @@ class ChainComplex:
             for i, v in column:
                 grid[i][j] = v
         return tuple(map(tuple, grid))
-
-    def boundary(self, k: int) -> Matrix:
-        return self.dense(k)
 
     @property
     def matrices(self) -> tuple[Matrix, ...]:

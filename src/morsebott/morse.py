@@ -10,6 +10,7 @@ discrete stand-in for a critical submanifold.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -142,15 +143,6 @@ def collections(X: Complex, f: DiscreteFunction) -> list[Collection]:
     return out
 
 
-def collection_of(collections_: Iterable[Collection]) -> dict[str, Collection]:
-    """Map each cell id to its collection."""
-    lookup: dict[str, Collection] = {}
-    for coll in collections_:
-        for cid in coll.cells:
-            lookup[cid] = coll
-    return lookup
-
-
 def _irregular_violations(X: Complex, f: DiscreteFunction) -> list[MorseBottViolation]:
     out = []
     for rec in X.faces:
@@ -165,53 +157,39 @@ def check_morse_bott(X: Complex, f: DiscreteFunction) -> MorseBottVerdict:
     Per cell, the count of strictly cheaper regular cofacets outside its
     collection and the count of strictly dearer regular facets outside its
     collection must each be at most one, and not both equal one; irregular
-    faces must carry strictly smaller values than their parents.
+    faces must carry strictly smaller values than their parents.  A
+    collection shares one value, so such faces always lie outside it.
     """
-    _require_total(X, f)
-    lookup = collection_of(collections(X, f))
-    violations = _irregular_violations(X, f)
-    for cid in X.ids():
-        own = lookup[cid].cells
-        ups = sorted(
-            rec.parent
-            for rec in X.cofacet_records(cid)
-            if rec.regular and rec.parent not in own and f(rec.parent) < f(cid)
-        )
-        downs = sorted(
-            rec.child
-            for rec in X.facet_records(cid)
-            if rec.regular and rec.child not in own and f(rec.child) > f(cid)
-        )
-        if len(ups) > 1:
-            violations.append(MorseBottViolation(cid, RULE_U, tuple(ups)))
-        if len(downs) > 1:
-            violations.append(MorseBottViolation(cid, RULE_D, tuple(downs)))
-        if len(ups) == 1 and len(downs) == 1:
-            violations.append(MorseBottViolation(cid, RULE_BOTH, (ups[0], downs[0])))
-    violations.sort(key=lambda v: (v.cell, v.rule))
-    return MorseBottVerdict(not violations, tuple(violations))
+    return _check_faces(X, f, strict=True)
 
 
 def check_discrete_morse(X: Complex, f: DiscreteFunction) -> MorseBottVerdict:
     """Forman's conditions: at most one non-increasing regular cofacet and at
     most one non-decreasing regular facet per cell (non-strict comparisons)."""
+    return _check_faces(X, f, strict=False)
+
+
+def _check_faces(X: Complex, f: DiscreteFunction, strict: bool) -> MorseBottVerdict:
     _require_total(X, f)
+    below = operator.lt if strict else operator.le
     violations = _irregular_violations(X, f)
     for cid in X.ids():
         ups = sorted(
             rec.parent
             for rec in X.cofacet_records(cid)
-            if rec.regular and f(rec.parent) <= f(cid)
+            if rec.regular and below(f(rec.parent), f(cid))
         )
         downs = sorted(
             rec.child
             for rec in X.facet_records(cid)
-            if rec.regular and f(rec.child) >= f(cid)
+            if rec.regular and below(f(cid), f(rec.child))
         )
         if len(ups) > 1:
             violations.append(MorseBottViolation(cid, RULE_U, tuple(ups)))
         if len(downs) > 1:
             violations.append(MorseBottViolation(cid, RULE_D, tuple(downs)))
+        if strict and len(ups) == 1 and len(downs) == 1:
+            violations.append(MorseBottViolation(cid, RULE_BOTH, (ups[0], downs[0])))
     violations.sort(key=lambda v: (v.cell, v.rule))
     return MorseBottVerdict(not violations, tuple(violations))
 

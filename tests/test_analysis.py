@@ -1,3 +1,6 @@
+import sys
+from collections import Counter
+
 import pytest
 
 from morsebott import (
@@ -7,12 +10,16 @@ from morsebott import (
     collection_defect,
     collections,
     euler_summary,
+    isolated_invariant_sets,
     kernel_inequality_check,
     morse_bott_inequalities,
     reduce_collection,
     reduced_boundary,
     reduced_collections,
+    serialize_complex,
+    serialize_function,
 )
+from morsebott.cli import report, run
 
 
 def reduced_containing(X, f, cid):
@@ -129,3 +136,62 @@ def test_defect_routes_agree_on_corpus(mb_corpus_small):
     for X, f in mb_corpus_small[:40]:
         for R in reduced_collections(X, f):
             assert collection_defect(X, R).is_nonnegative
+
+
+# The functions whose calls the compute-once tests count, by defining module.
+COUNTED = {
+    "morse": ("collections", "check_morse_bott"),
+    "flow": ("closed_orbits",),
+    "homology": ("chain_complex", "reduced_boundary"),
+    "complex": ("restrict",),
+}
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts calls of the COUNTED functions, wrapped in every ``morsebott``
+    namespace that binds them (modules import each other's functions by
+    name, so patching only the defining module would miss their calls)."""
+    counts = Counter()
+    modules = [
+        m for key, m in sys.modules.items()
+        if m is not None and (key == "morsebott" or key.startswith("morsebott."))
+    ]
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for home, names in COUNTED.items():
+        for name in names:
+            original = getattr(sys.modules[f"morsebott.{home}"], name)
+            wrapper = counting(name, original)
+            for m in modules:
+                for attr, value in list(vars(m).items()):
+                    if value is original:
+                        monkeypatch.setattr(m, attr, wrapper)
+    return counts
+
+
+def test_report_computes_each_fact_once(calls, worked_example):
+    X, f = worked_example
+    n_sets = len(isolated_invariant_sets(X, f))
+    calls.clear()
+    assert report(X, f).data["ok"]
+    assert calls["collections"] == 1
+    assert calls["check_morse_bott"] == 1
+    assert calls["closed_orbits"] == 1
+    assert calls["chain_complex"] == 1
+    assert calls["reduced_boundary"] == n_sets == 5
+    assert calls["restrict"] == 0
+
+
+def test_flow_searches_orbits_once(calls, worked_example, tmp_path):
+    X, f = worked_example
+    (tmp_path / "k.cw").write_text(serialize_complex(X))
+    (tmp_path / "f.val").write_text(serialize_function(f, X))
+    assert run(["--json", "flow", str(tmp_path / "k.cw"), str(tmp_path / "f.val")]) == 0
+    assert calls["closed_orbits"] == 1

@@ -172,6 +172,16 @@ class TestFlowCommand:
         )
         assert len(data["closed_orbits"]) == 1 and data["truncated"]
 
+    def test_negative_max_orbits_is_usage_error(self, files, capsys):
+        paths = [files("k.cw", HOLLOW), files("f.val", HOLLOW_CONST)]
+        for command in ("flow", "report"):
+            assert run(["--json", command, "--max-orbits", "-1", *paths]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:") and "--max-orbits" in captured.err
+            code, data = run_json(capsys, [command, "--max-orbits", "0", *paths])
+            assert code == 0 and data.get("flow", data)["truncated"]
+
 
 class TestInequalitiesAndConley:
     def test_inequalities(self, files, capsys):

@@ -160,8 +160,20 @@ class TestEulerIndexCheck:
 
 
 def test_exit_set_equals_boundary_part_on_corpus(mb_corpus_small):
+    # The report derives each index and chi from the invariant set alone;
+    # conley_index and euler_index_check build the index pair's complexes.
     for X, f in mb_corpus_small[:40]:
-        for I in isolated_invariant_sets(X, f):
+        sets = isolated_invariant_sets(X, f)
+        per_set = conley_theorem_check(X, f).per_set
+        assert [entry.id for entry in per_set] == [I.parent for I in sets]
+        for I, entry in zip(sets, per_set):
             pair = index_pair(X, f, I)
             assert pair.exit_set == pair.neighborhood - I.cells
             assert pair.neighborhood == closure(X, I.cells)
+            assert entry.conley_index == conley_index(X, f, I)
+            euler = euler_index_check(X, f, I)
+            assert (entry.chi_neighborhood, entry.chi_exit, entry.chi_reduced) == (
+                euler.chi_neighborhood,
+                euler.chi_exit,
+                euler.chi_reduced,
+            )
