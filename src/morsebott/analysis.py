@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .complex import Complex
+from .complex import Complex, FaceRecord
 from .conley import ConleyReport, IndexPair, InvariantSetEntry, index_pair
-from .flow import ArrowSet, OrbitList, closed_orbits, crossing_orbits, vector_field
+from .flow import ArrowSet, OrbitList, _arrows, closed_orbits, crossing_orbits
 from .homology import (
     HomologySummary,
     Polynomial,
@@ -31,7 +31,8 @@ from .morse import (
     DiscreteFunction,
     MorseBottVerdict,
     ReducedCollection,
-    check_morse_bott,
+    _verdict,
+    against,
     collections,
     is_noncritical_pair,
     reduce_collection,
@@ -110,8 +111,17 @@ class Analysis:
         self._homology: dict[frozenset[str], HomologySummary] = {}
 
     @cached_property
+    def against(self) -> list[tuple[FaceRecord, bool]]:
+        """The one scan of the face records; both verdicts and the arrows read it."""
+        return against(self.X, self.f)
+
+    @cached_property
     def verdict(self) -> MorseBottVerdict:
-        return check_morse_bott(self.X, self.f)
+        return _verdict(self.against, strict=True)
+
+    @cached_property
+    def discrete_morse(self) -> MorseBottVerdict:
+        return _verdict(self.against, strict=False)
 
     @cached_property
     def collections(self) -> list[Collection]:
@@ -146,7 +156,7 @@ class Analysis:
 
     @cached_property
     def arrows(self) -> ArrowSet:
-        return vector_field(self.X, self.f)
+        return _arrows(self.against)
 
     @cached_property
     def orbits(self) -> OrbitList:

@@ -133,7 +133,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_morse_check(args) -> int:
     a = Analysis(*_load(args))
-    _emit(args, {"morse_bott": a.verdict, "discrete_morse": morse.check_discrete_morse(a.X, a.f)})
+    _emit(args, {"morse_bott": a.verdict, "discrete_morse": a.discrete_morse})
     return OK if a.verdict.ok else INVALID
 
 
@@ -257,7 +257,7 @@ def report(X: Complex, f, arrows=None, max_orbits: int | None = 1000) -> ReportD
     a = Analysis(X, f, arrows, max_orbits)
     payload: dict = {
         "morse_bott": a.verdict,
-        "discrete_morse_ok": morse.check_discrete_morse(X, f).ok,
+        "discrete_morse_ok": a.discrete_morse.ok,
         "collections": a.collections,
         "flow": {
             "arrows": len(a.arrows),

@@ -84,16 +84,13 @@ class Complex:
                     f"dim mismatch on face record {rec.parent!r} > {rec.child!r}"
                 )
         self.top_dim: int = max((c.dim for c in self.cells.values()), default=-1)
-        self._facets: dict[str, tuple[FaceRecord, ...]] = {c: () for c in self.cells}
-        self._cofacets: dict[str, tuple[FaceRecord, ...]] = {c: () for c in self.cells}
         facets: dict[str, list[FaceRecord]] = {c: [] for c in self.cells}
         cofacets: dict[str, list[FaceRecord]] = {c: [] for c in self.cells}
         for rec in self.faces:
             facets[rec.parent].append(rec)
             cofacets[rec.child].append(rec)
-        for cid in self.cells:
-            self._facets[cid] = tuple(facets[cid])
-            self._cofacets[cid] = tuple(cofacets[cid])
+        self._facets = {cid: tuple(recs) for cid, recs in facets.items()}
+        self._cofacets = {cid: tuple(recs) for cid, recs in cofacets.items()}
         # Cells are few; precompute every closure once (children first).
         self._closures: dict[str, frozenset[str]] = {}
         for cid in sorted(self.cells, key=lambda c: (self.cells[c].dim, c)):
@@ -183,8 +180,9 @@ def build_simplicial(maximal_simplices: Iterable[Sequence]) -> Complex:
 
 
 def validate(X: Complex) -> ValidationReport:
-    """Check the facet records and, for all-regular complexes, the chain
-    condition sum([tau:sigma][sigma:rho]) = 0 over intermediate facets.
+    """Check the facet records and the chain condition
+    sum([tau:sigma][sigma:rho]) = 0 over intermediate facets, irregular
+    records included.
 
     Unknown cells and non-facet records are already rejected when the
     complex is built.
@@ -209,8 +207,7 @@ def validate(X: Complex) -> ValidationReport:
                     f"{rec.incidence}",
                 )
             )
-    if all(rec.regular for rec in X.faces):
-        violations.extend(_chain_condition(X))
+    violations.extend(_chain_condition(X))
     violations.sort(key=lambda v: (v.rule, v.cells))
     return ValidationReport(not violations, tuple(violations))
 

@@ -13,8 +13,8 @@ from typing import Iterable, Sequence
 
 import networkx as nx
 
-from .complex import Complex
-from .morse import Collection, DiscreteFunction, _require_total
+from .complex import Complex, FaceRecord
+from .morse import Collection, DiscreteFunction, against
 
 Arrow = tuple[str, str]
 
@@ -58,13 +58,12 @@ class FlowVerdict:
 
 def vector_field(X: Complex, f: DiscreteFunction) -> ArrowSet:
     """Arrows sigma -> tau over the regular facet pairs with f(sigma) >= f(tau)."""
-    _require_total(X, f)
-    arrows = {
-        (rec.child, rec.parent)
-        for rec in X.faces
-        if rec.regular and f(rec.child) >= f(rec.parent)
-    }
-    return ArrowSet(frozenset(arrows))
+    return _arrows(against(X, f))
+
+
+def _arrows(pairs: Iterable[tuple[FaceRecord, bool]]) -> ArrowSet:
+    """The arrows of the regular records in a list of :func:`morse.against`."""
+    return ArrowSet(frozenset((rec.child, rec.parent) for rec, _ in pairs if rec.regular))
 
 
 def is_combinatorial(V: ArrowSet, X: Complex) -> FlowVerdict:

@@ -6,16 +6,18 @@ each cell has at most one strictly cheaper cofacet and at most one strictly
 dearer facet outside its own collection, and never one of each.  Removing
 the cells that have such witnesses yields the reduced collection, the
 discrete stand-in for a critical submanifold.
+
+Every per-record condition is a view on one list, :func:`against`: the face
+records with f(child) >= f(parent), each marked strict or not.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .complex import Complex
+from .complex import Complex, FaceRecord
 
 INTERIOR = "interior"
 UPWARD = "upward_noncritical"
@@ -143,12 +145,42 @@ def collections(X: Complex, f: DiscreteFunction) -> list[Collection]:
     return out
 
 
-def _irregular_violations(X: Complex, f: DiscreteFunction) -> list[MorseBottViolation]:
-    out = []
-    for rec in X.faces:
-        if not rec.regular and not f(rec.child) < f(rec.parent):
-            out.append(MorseBottViolation(rec.child, RULE_IRREGULAR, (rec.parent,)))
-    return out
+def against(
+    X: Complex, f: DiscreteFunction, records: Iterable[FaceRecord] | None = None
+) -> list[tuple[FaceRecord, bool]]:
+    """The face records (all of X's by default) with f(child) >= f(parent),
+    each paired with whether f(child) > f(parent), in their given order."""
+    if records is None:
+        _require_total(X, f)
+        records = X.faces
+    return [(rec, c > p) for rec in records if (c := f(rec.child)) >= (p := f(rec.parent))]
+
+
+def _per_cell(records: Iterable[FaceRecord]):
+    """(cell -> its parents, cell -> its children) over the given records."""
+    ups: dict[str, list[str]] = {}
+    downs: dict[str, list[str]] = {}
+    for rec in records:
+        ups.setdefault(rec.child, []).append(rec.parent)
+        downs.setdefault(rec.parent, []).append(rec.child)
+    return ups, downs
+
+
+def _verdict(pairs: list[tuple[FaceRecord, bool]], strict: bool) -> MorseBottVerdict:
+    """The Morse-Bott (``strict``) or Forman verdict on the list of
+    :func:`against`: its irregular records, plus its regular records (only
+    the strict ones when ``strict``) counted per cell."""
+    irregular = [rec for rec, _ in pairs if not rec.regular]
+    violations = [MorseBottViolation(r.child, RULE_IRREGULAR, (r.parent,)) for r in irregular]
+    ups, downs = _per_cell(rec for rec, s in pairs if rec.regular and (s or not strict))
+    for rule, groups in ((RULE_U, ups), (RULE_D, downs)):
+        many = {cid: ends for cid, ends in groups.items() if len(ends) > 1}
+        violations += [MorseBottViolation(c, rule, tuple(sorted(e))) for c, e in many.items()]
+    if strict:
+        both = [cid for cid in ups.keys() & downs.keys() if len(ups[cid]) == len(downs[cid]) == 1]
+        violations += [MorseBottViolation(c, RULE_BOTH, (ups[c][0], downs[c][0])) for c in both]
+    violations.sort(key=lambda v: (v.cell, v.rule))
+    return MorseBottVerdict(not violations, tuple(violations))
 
 
 def check_morse_bott(X: Complex, f: DiscreteFunction) -> MorseBottVerdict:
@@ -160,63 +192,30 @@ def check_morse_bott(X: Complex, f: DiscreteFunction) -> MorseBottVerdict:
     faces must carry strictly smaller values than their parents.  A
     collection shares one value, so such faces always lie outside it.
     """
-    return _check_faces(X, f, strict=True)
+    return _verdict(against(X, f), strict=True)
 
 
 def check_discrete_morse(X: Complex, f: DiscreteFunction) -> MorseBottVerdict:
     """Forman's conditions: at most one non-increasing regular cofacet and at
     most one non-decreasing regular facet per cell (non-strict comparisons)."""
-    return _check_faces(X, f, strict=False)
-
-
-def _check_faces(X: Complex, f: DiscreteFunction, strict: bool) -> MorseBottVerdict:
-    _require_total(X, f)
-    below = operator.lt if strict else operator.le
-    violations = _irregular_violations(X, f)
-    for cid in X.ids():
-        ups = sorted(
-            rec.parent
-            for rec in X.cofacet_records(cid)
-            if rec.regular and below(f(rec.parent), f(cid))
-        )
-        downs = sorted(
-            rec.child
-            for rec in X.facet_records(cid)
-            if rec.regular and below(f(cid), f(rec.child))
-        )
-        if len(ups) > 1:
-            violations.append(MorseBottViolation(cid, RULE_U, tuple(ups)))
-        if len(downs) > 1:
-            violations.append(MorseBottViolation(cid, RULE_D, tuple(downs)))
-        if strict and len(ups) == 1 and len(downs) == 1:
-            violations.append(MorseBottViolation(cid, RULE_BOTH, (ups[0], downs[0])))
-    violations.sort(key=lambda v: (v.cell, v.rule))
-    return MorseBottVerdict(not violations, tuple(violations))
+    return _verdict(against(X, f), strict=False)
 
 
 def noncritical_witnesses(
     X: Complex, f: DiscreteFunction, C: Collection
 ) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
     """Per cell of C: (cofacets outside C with smaller value,
-    facets outside C with larger value), each sorted."""
-    out = {}
-    for cid in sorted(C.cells):
-        ups = tuple(
-            sorted(
-                rec.parent
-                for rec in X.cofacet_records(cid)
-                if rec.parent not in C.cells and f(rec.parent) < f(cid)
-            )
-        )
-        downs = tuple(
-            sorted(
-                rec.child
-                for rec in X.facet_records(cid)
-                if rec.child not in C.cells and f(rec.child) > f(cid)
-            )
-        )
-        out[cid] = (ups, downs)
-    return out
+    facets outside C with larger value), each sorted.
+
+    These are the strict records of :func:`against` incident to C; C shares
+    one value, so a strict record never has both ends in C.
+    """
+    incident = (rec for cid in C.cells for rec in X.cofacet_records(cid) + X.facet_records(cid))
+    ups, downs = _per_cell(rec for rec, strict in against(X, f, incident) if strict)
+    return {
+        cid: (tuple(sorted(ups.get(cid, ()))), tuple(sorted(downs.get(cid, ()))))
+        for cid in sorted(C.cells)
+    }
 
 
 def classify(
@@ -286,16 +285,10 @@ def is_noncritical_pair(R: ReducedCollection) -> bool:
 
 
 def critical_cells(X: Complex, f: DiscreteFunction) -> frozenset[str]:
-    """Cells with no non-increasing cofacet and no non-decreasing facet."""
-    _require_total(X, f)
-    out = set()
-    for cid in X.ids():
-        if any(f(rec.parent) <= f(cid) for rec in X.cofacet_records(cid)):
-            continue
-        if any(f(rec.child) >= f(cid) for rec in X.facet_records(cid)):
-            continue
-        out.add(cid)
-    return frozenset(out)
+    """Cells with no non-increasing cofacet and no non-decreasing facet: the
+    cells on no record of :func:`against`."""
+    touched = {cid for rec, _ in against(X, f) for cid in (rec.child, rec.parent)}
+    return frozenset(X.cells.keys() - touched)
 
 
 def perturb(

@@ -20,6 +20,7 @@ import random
 import sys
 import tempfile
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -92,16 +93,41 @@ def not_morse_bott(n: int = 20, seed: int = 977):
             found += 1
 
 
-def run_case(complex_text: str, function_text: str, argv: list[str]) -> dict:
-    """Run one argv in process on the stored texts."""
+def irregular_cw(n: int = 40, seed: int = 2017):
+    """Seeded {0, 1, 2}-valued functions on two CW complexes with irregular
+    records: RP2 on two vertices (regular edges a: p -> q and b: q -> p, the
+    2-cell F attached along both with incidence 2) and the one-vertex torus
+    (every incidence 0)."""
+    rp2 = build_from_incidence(
+        [("p", 0), ("q", 0), ("a", 1), ("b", 1), ("F", 2)],
+        [("a", "p", -1, True), ("a", "q", 1, True), ("b", "q", -1, True),
+         ("b", "p", 1, True), ("F", "a", 2, False), ("F", "b", 2, False)],
+    )
+    torus = build_from_incidence(
+        [("v", 0), ("a", 1), ("b", 1), ("T", 2)],
+        [("a", "v", 0, False), ("b", "v", 0, False), ("T", "a", 0, False),
+         ("T", "b", 0, False)],
+    )
+    rng = random.Random(seed)
+    for name, X in (("rp2-cw", rp2), ("torus-cw", torus)):
+        ids = X.ids()
+        for i, values in enumerate(rng.sample(list(product((0, 1, 2), repeat=len(ids))), n)):
+            yield f"{name}-{i:02d}", X, DiscreteFunction(dict(zip(ids, values)))
+
+
+def run_case(complex_text: str, function_text: str, argvs: list[list[str]]) -> list[dict]:
+    """Run each argv in process on the stored texts."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = {"complex": Path(tmp, "k.cw"), "function": Path(tmp, "f.val")}
         paths["complex"].write_text(complex_text, encoding="utf-8")
         paths["function"].write_text(function_text, encoding="utf-8")
-        filled = [arg.format(**{k: str(p) for k, p in paths.items()}) for arg in argv]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(filled)
+        return [_run(argv, {k: str(p) for k, p in paths.items()}) for argv in argvs]
+
+
+def _run(argv: list[str], paths: dict[str, str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([arg.format(**paths) for arg in argv])
     sha = lambda text: hashlib.sha256(text.encode("utf-8")).hexdigest()
     return {"argv": argv, "exit": code, "stdout_sha256": sha(out.getvalue()),
             "stderr_sha256": sha(err.getvalue())}
@@ -109,7 +135,7 @@ def run_case(complex_text: str, function_text: str, argv: list[str]) -> dict:
 
 def main() -> None:
     cases = []
-    for source in (worked_examples(), corpus(), not_morse_bott()):
+    for source in (worked_examples(), corpus(), not_morse_bott(), irregular_cw()):
         for name, X, f in source:
             complex_text = serialize_complex(X)
             function_text = serialize_function(f, X)
@@ -118,7 +144,7 @@ def main() -> None:
                     "name": name,
                     "complex": complex_text,
                     "function": function_text,
-                    "runs": [run_case(complex_text, function_text, a) for a in ARGVS],
+                    "runs": run_case(complex_text, function_text, ARGVS),
                 }
             )
     (HERE / "golden.json").write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")

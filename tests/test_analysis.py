@@ -140,8 +140,8 @@ def test_defect_routes_agree_on_corpus(mb_corpus_small):
 
 # The functions whose calls the compute-once tests count, by defining module.
 COUNTED = {
-    "morse": ("collections", "check_morse_bott"),
-    "flow": ("closed_orbits",),
+    "morse": ("collections", "check_morse_bott", "check_discrete_morse"),
+    "flow": ("closed_orbits", "vector_field"),
     "homology": ("chain_complex", "reduced_boundary"),
     "complex": ("restrict",),
 }
@@ -176,14 +176,29 @@ def calls(monkeypatch):
     return counts
 
 
+class CountingFaces(tuple):
+    """The face records of a complex, counting the scans over them."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
 def test_report_computes_each_fact_once(calls, worked_example):
     X, f = worked_example
     n_sets = len(isolated_invariant_sets(X, f))
+    X.faces = CountingFaces(X.faces)
     calls.clear()
     assert report(X, f).data["ok"]
     assert calls["collections"] == 1
-    assert calls["check_morse_bott"] == 1
+    # Both verdicts and the arrows read one scan of the records against f;
+    # the orbit search scans X.faces once more for its cell digraph.
+    assert calls["check_morse_bott"] == calls["check_discrete_morse"] == 0
+    assert calls["vector_field"] == 0
     assert calls["closed_orbits"] == 1
+    assert X.faces.scans == 1 + calls["closed_orbits"]
     assert calls["chain_complex"] == 1
     assert calls["reduced_boundary"] == n_sets == 5
     assert calls["restrict"] == 0

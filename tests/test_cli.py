@@ -23,6 +23,11 @@ BROKEN = "cell v 0\ncell e 1\nface e v 2 r\n"
 DUPLICATE = (
     "cell v 0\ncell w 0\ncell e 1\nface e v 1 r\nface e v 1 r\nface e w -1 r\n"
 )
+IRREGULAR_BROKEN = (
+    "cell a 0\ncell b 0\ncell c 0\ncell ab 1\ncell ac 1\ncell bc 1\ncell t 2\n"
+    "face ab a -1 r\nface ab b 1 r\nface ac a -1 r\nface ac c 1 i\n"
+    "face bc b -1 r\nface bc c 1 r\nface t ab 1 r\nface t ac 1 r\nface t bc 1 r\n"
+)
 STAR = "simplex a n\nsimplex b n\nsimplex c n\n"
 STAR_BAD = (
     "value n 3\nvalue a-n 1\nvalue b-n 2\nvalue c-n 3\n"
@@ -118,6 +123,20 @@ class TestValidateCommand:
         assert code == 2
         assert [v["rule"] for v in data["violations"]] == ["duplicate-record"]
         assert run(["homology", path]) == 2
+
+    def test_irregular_record_breaks_chain_condition(self, files, capsys):
+        path = files("bad.cw", IRREGULAR_BROKEN)
+        code, data = run_json(capsys, ["validate", path])
+        assert code == 2 and not data["ok"]
+        assert [(v["rule"], v["cells"]) for v in data["violations"]] == [
+            ("chain-condition", ["t", "a"]),
+            ("chain-condition", ["t", "c"]),
+        ]
+        assert run(["homology", path]) == 2
+        assert capsys.readouterr().err == (
+            "invalid complex: sum of incidences between 't' and 'a' is -2; "
+            "sum of incidences between 't' and 'c' is 2\n"
+        )
 
     def test_no_validate_lets_broken_load(self, files, capsys):
         code, data = run_json(capsys, ["--no-validate", "homology", files("bad.cw", BROKEN)])

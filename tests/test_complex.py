@@ -72,8 +72,33 @@ class TestValidate:
         assert validate(triangle).ok
 
     def test_loop_with_irregular_record_ok(self, loop_complex):
-        # Irregular records are exempt from the +-1 and chain-condition rules.
+        # Irregular records are exempt from the +-1 rule; the loop has no
+        # 2-cell, so the chain condition holds.
         assert validate(loop_complex).ok
+
+    def test_irregular_record_breaks_chain_condition(self):
+        # The irregular record ac > c keeps the regular sign, so the filled
+        # triangle's boundary squares to 2c - 2a.
+        X = build_from_incidence(
+            [("a", 0), ("b", 0), ("c", 0), ("ab", 1), ("ac", 1), ("bc", 1), ("t", 2)],
+            [
+                ("ab", "a", -1, True),
+                ("ab", "b", 1, True),
+                ("ac", "a", -1, True),
+                ("ac", "c", 1, False),
+                ("bc", "b", -1, True),
+                ("bc", "c", 1, True),
+                ("t", "ab", 1, True),
+                ("t", "ac", 1, True),
+                ("t", "bc", 1, True),
+            ],
+        )
+        report = validate(X)
+        assert not report.ok
+        assert [(v.rule, v.cells, v.message) for v in report.violations] == [
+            ("chain-condition", ("t", "a"), "sum of incidences between 't' and 'a' is -2"),
+            ("chain-condition", ("t", "c"), "sum of incidences between 't' and 'c' is 2"),
+        ]
 
     def test_flipped_sign_breaks_chain_condition(self):
         X = build_from_incidence(

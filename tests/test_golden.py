@@ -16,6 +16,5 @@ CASES = json.loads((Path(__file__).parent / "data" / "golden.json").read_text())
 
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
 def test_outputs_match_golden(case):
-    for expected in case["runs"]:
-        got = run_case(case["complex"], case["function"], expected["argv"])
-        assert got == expected, " ".join(expected["argv"])
+    argvs = [expected["argv"] for expected in case["runs"]]
+    assert run_case(case["complex"], case["function"], argvs) == case["runs"]
