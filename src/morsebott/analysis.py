@@ -2,8 +2,9 @@
 
 The inequalities and their Conley form are sums over the same reduced
 collections of the same restricted-boundary homology.  :class:`Analysis`
-computes these facts once per (X, f); the inequality, kernel-sum and Conley
-reports, and the public functions that return them, are views on it.
+computes these facts once per (X, f); the inequality and kernel-sum reports,
+and the public functions that return them, are views on it, and the Conley
+report reads the inequality report.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .homology import (
     _assemble,
     betti,
     chain_complex,
-    euler_characteristic,
     poincare_polynomial,
     reduced_boundary,
 )
@@ -31,11 +31,13 @@ from .morse import (
     DiscreteFunction,
     MorseBottVerdict,
     ReducedCollection,
+    _per_cell,
+    _reduction,
     _verdict,
+    _witnesses,
     against,
     collections,
     is_noncritical_pair,
-    reduce_collection,
 )
 
 
@@ -108,7 +110,6 @@ class Analysis:
         self.X, self.f, self.max_orbits = X, f, max_orbits
         if arrows is not None:
             self.arrows = arrows  # shadows the cached property
-        self._homology: dict[frozenset[str], HomologySummary] = {}
 
     @cached_property
     def against(self) -> list[tuple[FaceRecord, bool]]:
@@ -130,7 +131,8 @@ class Analysis:
     @cached_property
     def reduced(self) -> list[ReducedCollection]:
         """The reductions of all collections, empty ones and pairs included."""
-        return [reduce_collection(self.X, self.f, C) for C in self.collections]
+        ups, downs = _per_cell(rec for rec, strict in self.against if strict)
+        return [_reduction(self.X, C, _witnesses(ups, downs, C.cells)) for C in self.collections]
 
     @cached_property
     def invariant_sets(self) -> list[ReducedCollection]:
@@ -144,15 +146,14 @@ class Analysis:
             )
         return [R for R in self.reduced if R.cells and not is_noncritical_pair(R)]
 
-    def homology(self, cells: frozenset[str]) -> HomologySummary:
-        """Z homology of the boundary restricted to ``cells``."""
-        if cells not in self._homology:
-            self._homology[cells] = betti(reduced_boundary(self.X, cells, Z))
-        return self._homology[cells]
+    @cached_property
+    def homology(self) -> HomologySummary:
+        """Z homology of X."""
+        return betti(chain_complex(self.X, Z))
 
     @cached_property
     def poincare(self) -> Polynomial:
-        return poincare_polynomial(betti(chain_complex(self.X, Z)))
+        return poincare_polynomial(self.homology)
 
     @cached_property
     def arrows(self) -> ArrowSet:
@@ -171,7 +172,7 @@ class Analysis:
         entries = []
         total = Polynomial()
         for R in self.invariant_sets:
-            summary = self.homology(R.cells)
+            summary = betti(reduced_boundary(self.X, R.cells, Z))
             poly = poincare_polynomial(summary)
             counts = _cell_counts(R)
             entries.append(
@@ -191,12 +192,15 @@ class Analysis:
 
     @cached_property
     def kernel_inequalities(self) -> dict[int, bool]:
-        # Kernel dimensions per degree, held as polynomial coefficients.
+        # Kernel dimensions per degree, held as polynomial coefficients; a
+        # set's are its cell counts minus t times its defect (_defect checks).
         summed = Polynomial()
-        for R in self.invariant_sets:
-            summed = summed + Polynomial(self.homology(R.cells).kernel_dims)
-        union = frozenset().union(*(R.cells for R in self.invariant_sets))
-        whole = Polynomial(betti(_assemble(self.X, union, Z)).kernel_dims)
+        for entry in self.inequalities.per_collection:
+            summed = summed + Polynomial(entry.cell_counts) - Polynomial((0, *entry.defect.coeffs))
+        # The union need not be closed, so it is assembled unchecked unless it is X.
+        X, union = self.X, frozenset().union(*(R.cells for R in self.invariant_sets))
+        whole = self.homology if len(union) == len(X.cells) else betti(_assemble(X, union, Z))
+        whole = Polynomial(whole.kernel_dims)
         return {k: summed[k] >= whole[k] for k in range(1, max(self.X.top_dim, 0) + 1)}
 
     @cached_property
@@ -205,32 +209,26 @@ class Analysis:
 
     @cached_property
     def conley(self) -> ConleyReport:
+        # index_pair checked N - E = I, so the relative homology of (N, E) is
+        # that of I, its inequality entry, and chi(N) - chi(E) counts cells.
+        pairs, ineq = self.index_pairs, self.inequalities  # pairs first: the same first error
         entries = []
-        total = Polynomial()
-        for pair in self.index_pairs:
-            # index_pair checked N - E = I, so the relative complex of (N, E)
-            # is the restricted boundary of I, and chi(N) - chi(E) counts cells.
-            I = pair.invariant
-            summary = self.homology(I.cells)
+        for pair, entry in zip(pairs, ineq.per_collection):
             chi_n, chi_e = (
                 sum((-1) ** self.X.dim(c) for c in S) for S in (pair.neighborhood, pair.exit_set)
             )
-            chi = euler_characteristic(summary)
-            index = poincare_polynomial(summary)
+            chi = entry.poincare.evaluate(-1)
             entries.append(
-                InvariantSetEntry(I.parent, index, chi_n, chi_e, chi, chi == chi_n - chi_e)
+                InvariantSetEntry(entry.id, entry.poincare, chi_n, chi_e, chi, chi == chi_n - chi_e)
             )
-            total = total + index
-        ineq = self.inequalities
-        correction, remainder = (total - ineq.poincare_complex).divide_by_one_plus_t()
         return ConleyReport(
             per_set=tuple(entries),
             poincare_complex=ineq.poincare_complex,
-            conley_sum=total,
-            correction=correction,
-            divisible=remainder == 0,
-            nonneg=correction.is_nonnegative,
-            agrees_with_reduced=total == ineq.poincare_sum,
+            conley_sum=ineq.poincare_sum,
+            correction=ineq.correction,
+            divisible=ineq.divisible,
+            nonneg=ineq.nonneg,
+            agrees_with_reduced=True,  # both sums are the inequality report's
         )
 
 

@@ -8,6 +8,7 @@ condition, function not discrete Morse-Bott, or a violated identity).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -39,6 +40,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every run
 def _build_parser() -> _Parser:
     parser = _Parser(prog="morsebott", description=__doc__)
     parser.add_argument("--json", action="store_true", help="emit a JSON document")
@@ -108,6 +110,8 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise ParseError(str(err)) from None
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: {err}") from None
 
 
 def _load_complex(args) -> Complex:
@@ -175,7 +179,10 @@ def _cmd_homology(args) -> int:
 def _cmd_flow(args) -> int:
     a = Analysis(*_load(args), max_orbits=args.max_orbits)
     if args.dot:
-        Path(args.dot).write_text(flow.to_dot(a.arrows, a.X), encoding="utf-8")
+        try:
+            Path(args.dot).write_text(flow.to_dot(a.arrows, a.X), encoding="utf-8")
+        except OSError as err:
+            raise _UsageError(str(err)) from None
     _emit(
         args,
         {

@@ -1,9 +1,9 @@
 """Index pairs and homological Conley indices for reduced collections.
 
 The Conley report (``Analysis.conley``) builds one index pair (N, E) per
-isolated invariant set I.  ``index_pair`` checks N - E = I, so the Conley
-index is the cached homology of I; chi(N) and chi(E) are signed cell counts
-(Euler-Poincare).  ``conley_index`` and ``euler_index_check`` keep the
+isolated invariant set I.  ``index_pair`` checks N - E = I, so the report reads
+I's Conley index from the inequality report; chi(N) and chi(E) are signed cell
+counts (Euler-Poincare).  ``conley_index`` and ``euler_index_check`` keep the
 independent route through ``restrict`` and relative homology as references.
 """
 
@@ -83,8 +83,8 @@ def index_pair(X: Complex, f: DiscreteFunction, I: ReducedCollection) -> IndexPa
 
     The exit set collects the closure cells outside I whose value does not
     exceed the collection value; for a discrete Morse-Bott function this is
-    all of N minus I, and both N and E are subcomplexes.  Either failing
-    signals non-Morse-Bott input.
+    all of N minus I, and E is a subcomplex (N is one, being a closure).
+    Either failing signals non-Morse-Bott input.
     """
     N = closure(X, I.cells)
     E = frozenset(cid for cid in N - I.cells if f(cid) <= I.value)
@@ -92,7 +92,7 @@ def index_pair(X: Complex, f: DiscreteFunction, I: ReducedCollection) -> IndexPa
         raise ValueError(
             "exit set is not the whole boundary part; function is not discrete Morse-Bott"
         )
-    if not is_subcomplex(X, N) or not is_subcomplex(X, E):
+    if not is_subcomplex(X, E):
         raise ValueError("index pair members are not subcomplexes")
     exit_cells = frozenset(cid for cid in E if f(cid) == I.value)
     return IndexPair(I, N, E, exit_cells)

@@ -201,6 +201,37 @@ def check_discrete_morse(X: Complex, f: DiscreteFunction) -> MorseBottVerdict:
     return _verdict(against(X, f), strict=False)
 
 
+def _witnesses(ups, downs, cells: Iterable[str]):
+    """Per cell, in sorted order, its sorted entries in the :func:`_per_cell` maps."""
+    return {
+        cid: (tuple(sorted(ups.get(cid, ()))), tuple(sorted(downs.get(cid, ()))))
+        for cid in sorted(cells)
+    }
+
+
+def _labels(witnesses) -> dict[str, CellClass]:
+    out: dict[str, CellClass] = {}
+    for cid, (ups, downs) in witnesses.items():
+        if ups and downs:
+            raise ValueError(
+                f"cell {cid!r} is both upward and downward noncritical; "
+                "the function is not discrete Morse-Bott"
+            )
+        if ups:
+            out[cid] = CellClass(UPWARD, ups[0])
+        elif downs:
+            out[cid] = CellClass(DOWNWARD, downs[0])
+        else:
+            out[cid] = CellClass(INTERIOR)
+    return out
+
+
+def _reduction(X: Complex, C: Collection, witnesses) -> ReducedCollection:
+    labels = _labels(witnesses)
+    kept = frozenset(cid for cid, label in labels.items() if label.kind == INTERIOR)
+    return ReducedCollection(C.id, C.value, kept, labels, X)
+
+
 def noncritical_witnesses(
     X: Complex, f: DiscreteFunction, C: Collection
 ) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
@@ -212,10 +243,7 @@ def noncritical_witnesses(
     """
     incident = (rec for cid in C.cells for rec in X.cofacet_records(cid) + X.facet_records(cid))
     ups, downs = _per_cell(rec for rec, strict in against(X, f, incident) if strict)
-    return {
-        cid: (tuple(sorted(ups.get(cid, ()))), tuple(sorted(downs.get(cid, ()))))
-        for cid in sorted(C.cells)
-    }
+    return _witnesses(ups, downs, C.cells)
 
 
 def classify(
@@ -231,30 +259,12 @@ def classify(
     if outside:
         raise ValueError(f"cells {outside} are not members of the collection")
     witnesses = noncritical_witnesses(X, f, C)
-    out: dict[str, CellClass] = {}
-    for cid in wanted:
-        ups, downs = witnesses[cid]
-        if ups and downs:
-            raise ValueError(
-                f"cell {cid!r} is both upward and downward noncritical; "
-                "the function is not discrete Morse-Bott"
-            )
-        if ups:
-            out[cid] = CellClass(UPWARD, ups[0])
-        elif downs:
-            out[cid] = CellClass(DOWNWARD, downs[0])
-        else:
-            out[cid] = CellClass(INTERIOR)
-    return out
+    return _labels({cid: witnesses[cid] for cid in wanted})
 
 
 def reduce_collection(X: Complex, f: DiscreteFunction, C: Collection) -> ReducedCollection:
     """Drop the upward and downward noncritical cells of C."""
-    classification = classify(X, f, C)
-    kept = frozenset(
-        cid for cid, label in classification.items() if label.kind == INTERIOR
-    )
-    return ReducedCollection(C.id, C.value, kept, classification, X)
+    return _reduction(X, C, noncritical_witnesses(X, f, C))
 
 
 def reduced_collections(
@@ -265,15 +275,13 @@ def reduced_collections(
 ) -> list[ReducedCollection]:
     """Reduced collections, by default only the nonempty ones that are not
     noncritical pairs (the sets the inequalities sum over)."""
-    out = []
-    for C in collections(X, f):
-        R = reduce_collection(X, f, C)
-        if not R.cells and not include_empty:
-            continue
-        if not include_pairs and is_noncritical_pair(R):
-            continue
-        out.append(R)
-    return out
+    from .analysis import Analysis  # analysis imports this module
+
+    return [
+        R
+        for R in Analysis(X, f).reduced
+        if (R.cells or include_empty) and (include_pairs or not is_noncritical_pair(R))
+    ]
 
 
 def is_noncritical_pair(R: ReducedCollection) -> bool:

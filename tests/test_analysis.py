@@ -140,9 +140,9 @@ def test_defect_routes_agree_on_corpus(mb_corpus_small):
 
 # The functions whose calls the compute-once tests count, by defining module.
 COUNTED = {
-    "morse": ("collections", "check_morse_bott", "check_discrete_morse"),
+    "morse": ("against", "collections", "check_morse_bott", "check_discrete_morse"),
     "flow": ("closed_orbits", "vector_field"),
-    "homology": ("chain_complex", "reduced_boundary"),
+    "homology": ("betti", "chain_complex", "reduced_boundary"),
     "complex": ("restrict",),
 }
 
@@ -186,22 +186,33 @@ class CountingFaces(tuple):
         return super().__iter__()
 
 
-def test_report_computes_each_fact_once(calls, worked_example):
+def test_report_computes_each_fact_once(calls, worked_example, triangle):
     X, f = worked_example
     n_sets = len(isolated_invariant_sets(X, f))
     X.faces = CountingFaces(X.faces)
     calls.clear()
     assert report(X, f).data["ok"]
     assert calls["collections"] == 1
-    # Both verdicts and the arrows read one scan of the records against f;
-    # the orbit search scans X.faces once more for its cell digraph.
+    # Both verdicts, the arrows and the reductions read one scan of the
+    # records against f; the orbit search scans X.faces once more for its
+    # cell digraph.
+    assert calls["against"] == 1
     assert calls["check_morse_bott"] == calls["check_discrete_morse"] == 0
     assert calls["vector_field"] == 0
     assert calls["closed_orbits"] == 1
     assert X.faces.scans == 1 + calls["closed_orbits"]
     assert calls["chain_complex"] == 1
     assert calls["reduced_boundary"] == n_sets == 5
+    # The invariant sets, X, and their union, which is not all of X here.
+    assert calls["betti"] == n_sets + 2
     assert calls["restrict"] == 0
+
+    # For f = dim the invariant sets cover X, which is eliminated once.
+    f = DiscreteFunction.by_dimension(triangle)
+    n_sets = len(isolated_invariant_sets(triangle, f))
+    calls.clear()
+    assert report(triangle, f).data["ok"]
+    assert calls["betti"] == n_sets + 1
 
 
 def test_flow_searches_orbits_once(calls, worked_example, tmp_path):

@@ -272,6 +272,22 @@ class TestErrorPaths:
     def test_help_exits_0(self, capsys):
         assert run(["--help"]) == 0
 
+    def test_unwritable_dot_path_is_1(self, files, tmp_path, capsys):
+        dot = tmp_path / "missing" / "field.dot"
+        paths = [files("k.cw", HOLLOW), files("f.val", HOLLOW_CONST)]
+        assert run(["flow", "--dot", str(dot), *paths]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    def test_non_utf8_file_is_1(self, files, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"cell v 0\n\xff\n")
+        for argv in (["validate", str(bad)], ["morse-check", files("k.cw", TRIANGLE), str(bad)]):
+            assert run(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode")
+
 
 def test_report_with_injected_arrows(hollow_triangle):
     f = DiscreteFunction(
