@@ -125,7 +125,10 @@ def _load(args) -> tuple[Complex, morse.DiscreteFunction]:
 
 def _emit(args, payload) -> None:
     document = payload if isinstance(payload, ReportDocument) else serialize_report(payload)
-    sys.stdout.write(document.to_json() if args.json else document.to_text() + "\n")
+    if args.json:
+        document.write_json(sys.stdout)
+    else:
+        sys.stdout.write(document.to_text() + "\n")
 
 
 def _cmd_validate(args) -> int:

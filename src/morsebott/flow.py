@@ -1,9 +1,9 @@
 """Discrete vector fields, Forman's axioms, and closed orbit detection.
 
 An orbit alternates arrow steps (facet to cofacet) with descents to a
-different facet and never revisits a cell, so enumeration reduces to
-elementary cycles of the digraph on cells whose up-edges are the arrows and
-whose down-edges are the facet descents.
+different facet and never revisits a cell.  Only arrows that raise dimension
+by one are read, so enumeration reduces to elementary cycles of one digraph
+per layer of arrows from dimension k to k + 1.
 """
 
 from __future__ import annotations
@@ -102,52 +102,41 @@ def is_combinatorial(V: ArrowSet, X: Complex) -> FlowVerdict:
     return FlowVerdict(not violations, tuple(violations))
 
 
-def _cell_digraph(V: ArrowSet, X: Complex) -> nx.DiGraph:
-    # Up-edges are the arrows, down-edges every facet descent; since arrows
-    # raise dimension and descents lower it, the direction identifies the kind.
-    graph = nx.DiGraph()
-    graph.add_edges_from(V.arrows)
-    graph.add_edges_from((rec.parent, rec.child) for rec in X.faces)
-    return graph
-
-
-def _as_orbit(cycle: Sequence[str], X: Complex) -> tuple[str, ...] | None:
-    """Canonical cell tuple when the elementary cycle is a closed orbit.
-
-    Orbits alternate an arrow step with a descent, so the cells must bounce
-    between two adjacent dimensions; the two-cell bounce sigma -> tau > sigma
-    is not an orbit.  Rotations start at a bottom-dimension cell and the
-    lexicographically least one is the canonical form.
-    """
-    if len(cycle) < 4 or len(cycle) % 2:
-        return None
-    dims = [X.dim(cid) for cid in cycle]
-    low = min(dims)
-    offset = 0 if dims[0] == low else 1
-    for i, dim in enumerate(dims):
-        if dim != low + (i - offset) % 2:
-            return None
-    starts = range(offset, len(cycle), 2)
-    return min(tuple(cycle[s:]) + tuple(cycle[:s]) for s in starts)
-
-
 def closed_orbits(V: ArrowSet, X: Complex, max_orbits: int | None = None) -> OrbitList:
     """All elementary closed orbits, deduplicated up to rotation.
 
-    ``max_orbits`` caps the enumeration; the returned list's ``truncated``
-    flag records whether the cap was hit.
+    Only arrows that raise dimension by one are read.  ``max_orbits`` caps
+    the enumeration, so at most ``max_orbits`` + ``len(V)`` + 1 cycles are
+    examined; the returned list's ``truncated`` flag records whether the cap
+    was hit.
     """
-    graph = _cell_digraph(V, X)
+    # Nodes are (layer, cell); descents run from a head to its facets that
+    # tail the same layer, so every cycle but the bounce sigma -> tau > sigma
+    # is an orbit.  Sorted integer nodes and edges fix the cycle order.
+    up = sorted((X.dim(s), s, t) for s, t in V.arrows if X.dim(t) == X.dim(s) + 1)
+    tails = {(k, s) for k, s, _ in up}
+    nodes = sorted(tails | {(k, t) for k, _, t in up})
+    index = {node: i for i, node in enumerate(nodes)}
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(len(nodes)))
+    graph.add_edges_from(sorted(
+        [(index[k, s], index[k, t]) for k, s, t in up]
+        + [(index[k, t], index[k, rec.child])
+           for k, t in nodes for rec in X.facet_records(t) if (k, rec.child) in tails]
+    ))
     orbits: list[Orbit] = []
     truncated = False
     for cycle in nx.simple_cycles(graph):
-        cells = _as_orbit(cycle, X)
-        if cells is None:
+        if len(cycle) == 2:
             continue
         if max_orbits is not None and len(orbits) >= max_orbits:
             truncated = True
             break
-        orbits.append(Orbit(cells))
+        k, first = nodes[cycle[0]]
+        cells = [nodes[i][1] for i in cycle]
+        # Rotations start at a tail; the lexicographically least is canonical.
+        starts = range(X.dim(first) - k, len(cells), 2)
+        orbits.append(Orbit(min(tuple(cells[s:] + cells[:s]) for s in starts)))
     orbits.sort(key=lambda o: (len(o.cells), o.cells))
     return OrbitList(orbits, truncated)
 

@@ -10,10 +10,11 @@ rationals throughout.  ``#`` starts a comment.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, TextIO
 
 from .complex import (
     Complex,
@@ -166,14 +167,24 @@ def _jsonable(obj: Any) -> Any:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+
+
 @dataclass(frozen=True)
 class ReportDocument:
     data: dict
 
     def to_json(self) -> str:
-        return json.dumps(self.data, indent=2, sort_keys=True) + "\n"
+        return _ENCODER.encode(self.data) + "\n"
 
-    def to_text(self, indent: int = 0) -> str:
+    def write_json(self, out: TextIO) -> None:
+        """Write :meth:`to_json` to ``out`` without holding the whole text."""
+        chunks = _ENCODER.iterencode(self.data)
+        while batch := list(itertools.islice(chunks, 4096)):
+            out.write("".join(batch))
+        out.write("\n")
+
+    def to_text(self) -> str:
         return _render(self.data, 0)
 
 

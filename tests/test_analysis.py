@@ -194,13 +194,12 @@ def test_report_computes_each_fact_once(calls, worked_example, triangle):
     assert report(X, f).data["ok"]
     assert calls["collections"] == 1
     # Both verdicts, the arrows and the reductions read one scan of the
-    # records against f; the orbit search scans X.faces once more for its
-    # cell digraph.
+    # records against f; the orbit search reads only the heads' facets.
     assert calls["against"] == 1
     assert calls["check_morse_bott"] == calls["check_discrete_morse"] == 0
     assert calls["vector_field"] == 0
     assert calls["closed_orbits"] == 1
-    assert X.faces.scans == 1 + calls["closed_orbits"]
+    assert X.faces.scans == 1
     assert calls["chain_complex"] == 1
     assert calls["reduced_boundary"] == n_sets == 5
     # The invariant sets, X, and their union, which is not all of X here.

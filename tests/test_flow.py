@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from morsebott import (
     ArrowSet,
@@ -11,8 +15,9 @@ from morsebott import (
     parse_complex,
     vector_field,
 )
+from morsebott import flow
 from morsebott.flow import to_dot
-from conftest import random_simplicial_complex
+from conftest import torus_triangles, random_simplicial_complex
 
 
 def brute_force_orbits(V, X):
@@ -136,6 +141,55 @@ class TestClosedOrbits:
             pairs = [(r.child, r.parent) for r in X.faces if r.regular]
             V = ArrowSet(frozenset(p for p in pairs if rng.random() < 0.6))
             assert orbit_cell_tuples(closed_orbits(V, X)) == brute_force_orbits(V, X)
+
+    def test_cap_bounds_the_cycles_examined(self, monkeypatch):
+        X = build_simplicial(torus_triangles(3))
+        V = vector_field(X, DiscreteFunction.constant(X))
+        assert len(V) == 108
+        original = flow.nx.simple_cycles
+        for cap in (0, 1, 1000):
+            bound = cap + len(V) + 1
+            seen = []
+
+            def counted(graph):
+                for cycle in original(graph):
+                    seen.append(cycle)
+                    if len(seen) > bound:
+                        raise AssertionError(f"more than {bound} cycles for cap {cap}")
+                    yield cycle
+
+            monkeypatch.setattr(flow.nx, "simple_cycles", counted)
+            orbits = closed_orbits(V, X, max_orbits=cap)
+            assert len(orbits) == cap and orbits.truncated
+            assert len(seen) <= bound
+
+    def test_truncated_list_ignores_the_hash_seed(self):
+        script = (
+            "import random\n"
+            "from conftest import RP2_TRIANGLES, random_morse_bott_function\n"
+            "from morsebott import build_simplicial, closed_orbits, vector_field\n"
+            "X = build_simplicial(RP2_TRIANGLES)\n"
+            "V = vector_field(X, random_morse_bott_function(X, random.Random(7)))\n"
+            "assert len(V) == 41\n"
+            "found = closed_orbits(V, X, 20)\n"
+            "print(found.truncated, [o.cells for o in found])\n"
+        )
+        path = os.pathsep.join([str(Path(__file__).parent), os.environ.get("PYTHONPATH", "")])
+        outputs = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
+    def test_downward_arrows_are_not_descents(self, hollow_triangle):
+        V = ArrowSet(frozenset({("a", "a-c"), ("c", "b-c"), ("b-c", "a")}))
+        assert closed_orbits(V, hollow_triangle) == []
+        assert brute_force_orbits(V, hollow_triangle) == set()
 
 
 class TestCrossCollectionOrbits:
