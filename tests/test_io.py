@@ -1,13 +1,16 @@
+import io
 import random
 from fractions import Fraction
 
 import pytest
 
 from morsebott import (
+    Analysis,
     DiscreteFunction,
     ParseError,
     Polynomial,
     ValidationError,
+    build_simplicial,
     morse_bott_inequalities,
     parse_complex,
     parse_function,
@@ -16,7 +19,9 @@ from morsebott import (
     serialize_function,
     serialize_report,
 )
-from conftest import random_simplicial_complex
+from morsebott.flow import is_combinatorial
+from morsebott.io import _ENCODER
+from conftest import random_simplicial_complex, torus_triangles
 
 
 class TestParseComplex:
@@ -138,3 +143,23 @@ class TestReportDocuments:
         f = DiscreteFunction.by_dimension(triangle)
         text = serialize_report(morse_bott_inequalities(triangle, f)).to_text()
         assert "correction" in text and "2 + t" in text
+
+    def test_write_json_streams_to_json(self):
+        # The flow document of the constant 3x3 torus: 1000 orbits, 628 KB,
+        # tens of thousands of encoder chunks.
+        X = build_simplicial(torus_triangles(3))
+        a = Analysis(X, DiscreteFunction.constant(X))
+        doc = serialize_report(
+            {
+                "arrows": sorted(a.arrows.arrows),
+                "combinatorial": is_combinatorial(a.arrows, X),
+                "closed_orbits": [o.cells for o in a.orbits],
+                "truncated": a.orbits.truncated,
+                "cross_collection_orbits": a.cross_orbits,
+            }
+        )
+        assert len(list(_ENCODER.iterencode(doc.data))) > 4 * 4096
+        out = io.StringIO()
+        doc.write_json(out)
+        assert len(out.getvalue()) == 627936
+        assert out.getvalue() == doc.to_json()
