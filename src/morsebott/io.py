@@ -10,7 +10,6 @@ rationals throughout.  ``#`` starts a comment.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -179,9 +178,7 @@ class ReportDocument:
 
     def write_json(self, out: TextIO) -> None:
         """Write :meth:`to_json` to ``out`` without holding the whole text."""
-        chunks = _ENCODER.iterencode(self.data)
-        while batch := list(itertools.islice(chunks, 4096)):
-            out.write("".join(batch))
+        out.writelines(_ENCODER.iterencode(self.data))
         out.write("\n")
 
     def to_text(self) -> str:

@@ -20,6 +20,7 @@ from morsebott import (
     Complex,
     chain_complex,
     closure,
+    equivalence_check,
     reduced_boundary,
     relative_chain_complex,
     validate,
@@ -171,3 +172,11 @@ def test_only_even_totals():
     with pytest.raises(ValueError, match="between 'F' and 'p'"):
         chain_complex(Y, Z)
     assert chain_complex(Y, Z2).bases == (("p", "q"), ("a", "b"), ("F",))
+
+
+@pytest.mark.parametrize("cells", [{"zz"}, {"a", "a-b", "zz"}])
+def test_unknown_ids_are_value_errors(triangle, cells):
+    # As in closure, restrict and relative_chain_complex, not a KeyError.
+    for build in (reduced_boundary, equivalence_check, relative_chain_complex):
+        with pytest.raises(ValueError, match="unknown cell id 'zz'"):
+            build(triangle, cells)

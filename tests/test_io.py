@@ -161,5 +161,4 @@ class TestReportDocuments:
         assert len(list(_ENCODER.iterencode(doc.data))) > 4 * 4096
         out = io.StringIO()
         doc.write_json(out)
-        assert len(out.getvalue()) == 627936
         assert out.getvalue() == doc.to_json()
