@@ -211,7 +211,7 @@ def _inequality_sections(a: Analysis) -> dict:
 def _cmd_inequalities(args) -> int:
     a = Analysis(*_load(args))
     _emit(args, _inequality_sections(a))
-    return OK if a.inequalities.ok and all(a.kernel_inequalities.values()) else INVALID
+    return OK if a.inequalities.ok else INVALID
 
 
 def _cmd_conley(args) -> int:
@@ -279,7 +279,7 @@ def report(X: Complex, f, arrows=None, max_orbits: int | None = 1000) -> ReportD
     ok = a.verdict.ok and not a.cross_orbits
     if a.verdict.ok:
         payload.update(_inequality_sections(a), conley=a.conley)
-        ok = ok and a.inequalities.ok and all(a.kernel_inequalities.values()) and a.conley.ok
+        ok = ok and a.inequalities.ok and a.conley.ok
     payload["ok"] = ok
     return serialize_report(payload)
 

@@ -3,8 +3,10 @@
 The Conley report (``Analysis.conley``) builds one index pair (N, E) per
 isolated invariant set I.  ``index_pair`` checks N - E = I, so the report reads
 I's Conley index from the inequality report; chi(N) and chi(E) are signed cell
-counts (Euler-Poincare).  ``conley_index`` and ``euler_index_check`` keep the
-independent route through ``restrict`` and relative homology as references.
+counts (Euler-Poincare), so ``euler_ok`` holds by construction.
+``conley_index`` and ``euler_index_check`` keep the independent route through
+``restrict`` and relative homology; ``tests/test_order_types.py`` compares
+the report with them on every order type.
 """
 
 from __future__ import annotations

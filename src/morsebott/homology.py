@@ -347,11 +347,11 @@ def _assemble(X: Complex, cells: Iterable[str], ring: str) -> ChainComplex:
     """
     if ring not in (Z, Z2):
         raise ValueError(f"unknown coefficient ring {ring!r}")
-    cells = frozenset(cells)
-    top = max((X.dim(c) for c in cells), default=-1)
-    bases = tuple(
-        tuple(sorted(c for c in cells if X.dim(c) == k)) for k in range(top + 1)
-    )
+    by_dim: dict[int, list[str]] = {}
+    for c in frozenset(cells):
+        by_dim.setdefault(X.dim(c), []).append(c)
+    top = max(by_dim, default=-1)
+    bases = tuple(tuple(sorted(by_dim.get(k, ()))) for k in range(top + 1))
     columns = []
     for k, base in enumerate(bases):
         below = {cid: i for i, cid in enumerate(bases[k - 1])} if k else {}

@@ -2,7 +2,8 @@
 
 Complex files are line oriented: ``cell <id> <dim>``, ``face <parent>
 <child> <incidence> <r|i>``, or ``simplex <v1> <v2> ...`` (the simplex form
-may not be mixed with explicit cell/face lines).  Function files carry one
+may not be mixed with explicit cell/face lines).  A ``cell`` line may
+declare a dimension of at most ``MAX_DIM``.  Function files carry one
 ``value <cell-id> <numerator>[/<denominator>]`` line per cell, with exact
 rationals throughout.  ``#`` starts a comment.
 """
@@ -24,6 +25,8 @@ from .complex import (
 from .complex import validate as _validate_complex
 from .homology import Polynomial
 from .morse import DiscreteFunction
+
+MAX_DIM = 1024  # two cells span any dimension, and all output is dense in it
 
 
 class ParseError(ValueError):
@@ -55,6 +58,8 @@ def parse_complex(text: str, validate: bool = True) -> Complex:
                 cells.append((parts[1], int(parts[2])))
             except ValueError:
                 raise ParseError(f"bad dimension {parts[2]!r}", lineno) from None
+            if cells[-1][1] > MAX_DIM:
+                raise ParseError(f"dimension {cells[-1][1]} exceeds the limit {MAX_DIM}", lineno)
         elif directive == "face":
             if len(parts) != 5 or parts[4] not in ("r", "i"):
                 raise ParseError(

@@ -12,10 +12,14 @@ import pytest
 from morsebott import (
     Complex,
     DiscreteFunction,
+    Polynomial,
+    betti,
     build_from_incidence,
     build_simplicial,
     check_discrete_morse,
     check_morse_bott,
+    poincare_polynomial,
+    reduced_boundary,
 )
 
 # Standard 7-vertex torus triangulation: both triangle families around the
@@ -157,6 +161,17 @@ def worked_example():
         }
     )
     return X, f
+
+
+def division_defect(X: Complex, R) -> tuple[Polynomial, int]:
+    """The defect of the set R by exact division, independent of
+    ``collection_defect``: (counts(t) - P_t) / (1 + t), quotient and
+    remainder."""
+    counts = [0] * (max(X.dim(c) for c in R.cells) + 1)
+    for cid in R.cells:
+        counts[X.dim(cid)] += 1
+    P = poincare_polynomial(betti(reduced_boundary(X, R)))
+    return (Polynomial(counts) - P).divide_by_one_plus_t()
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ from collections import Counter
 import pytest
 
 from morsebott import (
+    Complex,
     DiscreteFunction,
+    FaceRecord,
     Polynomial,
     betti,
     collection_defect,
@@ -20,6 +22,7 @@ from morsebott import (
     serialize_function,
 )
 from morsebott.cli import report, run
+from conftest import division_defect
 
 
 def reduced_containing(X, f, cid):
@@ -109,6 +112,36 @@ class TestKernelInequalities:
         for X, f in mb_corpus_small[:40]:
             assert all(kernel_inequality_check(X, f).values())
 
+    def test_not_morse_bott_raises_as_inequalities(self, star_violation):
+        assert_same_error(*star_violation)
+
+    def test_chain_defect_in_a_set_raises_as_inequalities(self, triangle):
+        # Constant f makes the whole triangle one invariant set; negating
+        # one incidence of the 2-cell breaks the chain condition inside it.
+        faces = [
+            FaceRecord(r.parent, r.child, -r.incidence, r.regular)
+            if (r.parent, r.child) == ("a-b-c", "a-b")
+            else r
+            for r in triangle.faces
+        ]
+        X = Complex(triangle.cells.values(), faces)
+        f = DiscreteFunction.constant(X)
+        assert [sorted(I.cells) for I in isolated_invariant_sets(X, f)] == [sorted(X.cells)]
+        message = assert_same_error(X, f)
+        assert message.startswith("reduced boundary: boundary does not square to zero")
+
+
+def assert_same_error(X, f):
+    """kernel_inequality_check raises the error of morse_bott_inequalities;
+    returns its message."""
+    with pytest.raises(ValueError) as expected:
+        morse_bott_inequalities(X, f)
+    with pytest.raises(ValueError) as got:
+        kernel_inequality_check(X, f)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+    return str(got.value)
+
 
 class TestEulerSummary:
     def test_worked_example(self, worked_example):
@@ -132,10 +165,13 @@ class TestEulerSummary:
 
 
 def test_defect_routes_agree_on_corpus(mb_corpus_small):
-    # collection_defect raises when the division and kernel routes disagree
+    # collection_defect reads the ranks; the division is the independent route
     for X, f in mb_corpus_small[:40]:
         for R in reduced_collections(X, f):
-            assert collection_defect(X, R).is_nonnegative
+            quotient, remainder = division_defect(X, R)
+            assert remainder == 0
+            assert quotient == collection_defect(X, R)
+            assert quotient.is_nonnegative
 
 
 # The functions whose calls the compute-once tests count, by defining module.
@@ -202,11 +238,12 @@ def test_report_computes_each_fact_once(calls, worked_example, triangle):
     assert X.faces.scans == 1
     assert calls["chain_complex"] == 1
     assert calls["reduced_boundary"] == n_sets == 5
-    # The invariant sets, X, and their union, which is not all of X here.
-    assert calls["betti"] == n_sets + 2
+    # The invariant sets and X.  The kernel bounds hold by construction, so
+    # the union of the sets, which is not all of X here, is not eliminated.
+    assert calls["betti"] == n_sets + 1
     assert calls["restrict"] == 0
 
-    # For f = dim the invariant sets cover X, which is eliminated once.
+    # For f = dim the invariant sets cover X; X is still eliminated once.
     f = DiscreteFunction.by_dimension(triangle)
     n_sets = len(isolated_invariant_sets(triangle, f))
     calls.clear()

@@ -289,6 +289,24 @@ class TestErrorPaths:
             assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode")
 
 
+def test_dimension_bomb_is_a_parse_error(tmp_path):
+    # Two cells, one of dimension 10^8: rejected at parse, before any work
+    # dense in the degree, with one error line and no traceback.
+    k, f = tmp_path / "k.cw", tmp_path / "f.val"
+    k.write_text("cell a 0\ncell b 100000000\n")
+    f.write_text("value a 0\nvalue b 1\n")
+    for argv in (["homology", k], ["report", k, f]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "morsebott", *map(str, argv)],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: line 2: dimension 100000000 exceeds the limit 1024\n"
+
+
 def test_report_with_injected_arrows(hollow_triangle):
     f = DiscreteFunction(
         {"a": 0, "b": 0, "a-b": 0, "c": 1, "b-c": 1, "a-c": 1}

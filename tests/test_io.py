@@ -20,7 +20,7 @@ from morsebott import (
     serialize_report,
 )
 from morsebott.flow import is_combinatorial
-from morsebott.io import _ENCODER
+from morsebott.io import _ENCODER, MAX_DIM
 from conftest import random_simplicial_complex, torus_triangles
 
 
@@ -53,6 +53,12 @@ class TestParseComplex:
     def test_bad_dimension(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_complex("cell v 0\ncell e one\n")
+
+    def test_dimension_cap(self):
+        X = parse_complex(f"cell a 0\ncell b {MAX_DIM}\n")
+        assert X.top_dim == MAX_DIM
+        with pytest.raises(ParseError, match=f"line 2: dimension {MAX_DIM + 1} exceeds"):
+            parse_complex(f"cell a 0\ncell b {MAX_DIM + 1}\n", validate=False)
 
     def test_validation_failure_raises(self):
         text = (

@@ -5,9 +5,9 @@ nothing else, so f behaves exactly like any other function that puts the
 same weak order on the cells.  Enumerating the weak orders (3, 13, 75 and
 541 on 2, 3, 4 and 5 cells) therefore covers every function on these
 complexes, not a sample.  On each Morse-Bott order type the Conley report,
-the kernel-sum bounds and the aggregated report are checked against the
-independent routes through relative homology and the direct elimination of
-the union of the invariant sets.
+the kernel-sum bounds, each set's defect and the aggregated report are
+checked against the independent routes through relative homology, the direct
+elimination of the union of the invariant sets, and exact division by 1 + t.
 """
 
 from itertools import product
@@ -21,6 +21,7 @@ from morsebott import (
     build_from_incidence,
     build_simplicial,
     check_morse_bott,
+    collection_defect,
     conley_index,
     conley_theorem_check,
     equivalence_check,
@@ -32,6 +33,7 @@ from morsebott import (
 )
 from morsebott.cli import report
 from morsebott.homology import Z, _assemble
+from conftest import division_defect
 
 # Minimal CW structures: one vertex and one cell per nonzero Betti number
 # over Q or Z/2.  A 1-cell on one vertex meets it twice with opposite signs
@@ -115,5 +117,6 @@ def test_every_order_type(name):
                 euler.chi_reduced,
             )
             assert equivalence_check(X, I)
+            assert division_defect(X, I) == (collection_defect(X, I), 0)
         assert kernel_inequality_check(X, f) == direct_kernel_check(X, f)
         assert report(X, f).data["ok"]
