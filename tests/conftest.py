@@ -277,3 +277,37 @@ def dm_corpus():
         X = random_simplicial_complex(rng)
         corpus.append((X, random_discrete_morse_function(X, rng)))
     return corpus
+
+
+# ---------------------------------------------------------------------------
+# Closure oracle
+
+
+def facet_closure(X: Complex, cid: str) -> frozenset[str]:
+    """``cid`` and all its iterated faces, by recursion on the facet records."""
+    return frozenset({cid}).union(
+        *(facet_closure(X, rec.child) for rec in X.facet_records(cid))
+    )
+
+
+def closure_partition(X: Complex, f: DiscreteFunction) -> list[tuple[Fraction, frozenset]]:
+    """The cells split by joining every two same-value cells whose closures
+    meet, transitively, as (value, cells) pairs in the order of ``collections``:
+    by value, then by least cell id."""
+    closures = {cid: facet_closure(X, cid) for cid in X.ids()}
+    meets = {
+        a: {b for b in X.ids() if f(b) == f(a) and closures[a] & closures[b]}
+        for a in X.ids()
+    }
+    parts, placed = [], set()
+    for cid in X.ids():
+        if cid in placed:
+            continue
+        part, frontier = {cid}, [cid]
+        while frontier:
+            for other in meets[frontier.pop()] - part:
+                part.add(other)
+                frontier.append(other)
+        placed |= part
+        parts.append((f(cid), frozenset(part)))
+    return sorted(parts, key=lambda p: (p[0], min(p[1])))

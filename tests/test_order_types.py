@@ -5,9 +5,10 @@ nothing else, so f behaves exactly like any other function that puts the
 same weak order on the cells.  Enumerating the weak orders (3, 13, 75 and
 541 on 2, 3, 4 and 5 cells) therefore covers every function on these
 complexes, not a sample.  On each Morse-Bott order type the Conley report,
-the kernel-sum bounds, each set's defect and the aggregated report are
-checked against the independent routes through relative homology, the direct
-elimination of the union of the invariant sets, and exact division by 1 + t.
+the kernel-sum bounds, each set's defect, the Euler identity and the
+aggregated report are checked against the independent routes through relative
+homology, the direct elimination of the union of the invariant sets, exact
+division by 1 + t and evaluation at t = -1.
 """
 
 from itertools import product
@@ -28,6 +29,7 @@ from morsebott import (
     euler_index_check,
     isolated_invariant_sets,
     kernel_inequality_check,
+    morse_bott_inequalities,
     reduced_boundary,
     validate,
 )
@@ -119,4 +121,8 @@ def test_every_order_type(name):
             assert equivalence_check(X, I)
             assert division_defect(X, I) == (collection_defect(X, I), 0)
         assert kernel_inequality_check(X, f) == direct_kernel_check(X, f)
+        ineq = morse_bott_inequalities(X, f)
+        assert ineq.euler_identity == (
+            ineq.poincare_sum.evaluate(-1) == ineq.poincare_complex.evaluate(-1)
+        )
         assert report(X, f).data["ok"]
