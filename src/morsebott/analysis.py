@@ -169,6 +169,8 @@ class Analysis:
                 CollectionEntry(R.parent, R.value, counts, poly, _defect(counts, summary))
             )
             total = total + poly
+        # The remainder of division by 1 + t is the value at t = -1, so the
+        # Euler identity total(-1) == P(-1) holds exactly when it is 0.
         correction, remainder = (total - self.poincare).divide_by_one_plus_t()
         return InequalityReport(
             per_collection=tuple(entries),
@@ -177,7 +179,7 @@ class Analysis:
             correction=correction,
             divisible=remainder == 0,
             nonneg=correction.is_nonnegative,
-            euler_identity=total.evaluate(-1) == self.poincare.evaluate(-1),
+            euler_identity=remainder == 0,
         )
 
     @cached_property

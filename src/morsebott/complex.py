@@ -91,15 +91,6 @@ class Complex:
             cofacets[rec.child].append(rec)
         self._facets = {cid: tuple(recs) for cid, recs in facets.items()}
         self._cofacets = {cid: tuple(recs) for cid, recs in cofacets.items()}
-        # Precompute every closure (children first). On demand, the 9600-cell
-        # torus builds in 14 ms instead of 47, but `collections` and
-        # `index_pairs`, which `report` reads, run 55-90 % slower (2 vCPUs).
-        self._closures: dict[str, frozenset[str]] = {}
-        for cid in sorted(self.cells, key=lambda c: (self.cells[c].dim, c)):
-            closed: set[str] = {cid}
-            for rec in self._facets[cid]:
-                closed |= self._closures[rec.child]
-            self._closures[cid] = frozenset(closed)
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -126,9 +117,6 @@ class Complex:
     def cofacet_records(self, cid: str) -> tuple[FaceRecord, ...]:
         """Records whose child is ``cid`` (its codimension-one cofaces)."""
         return self._cofacets[cid]
-
-    def closure_of(self, cid: str) -> frozenset[str]:
-        return self._closures[cid]
 
 
 def build_from_incidence(
@@ -238,11 +226,15 @@ def _chain_defects(X: Complex, cells: Collection[str]) -> Iterator[tuple[str, st
 
 def closure(X: Complex, S: Iterable[str]) -> frozenset[str]:
     """All iterated faces of the cells in ``S``, together with ``S``."""
-    closed: set[str] = set()
+    frontier: set[str] = set()
     for cid in S:
         if cid not in X.cells:
             raise ValueError(f"unknown cell id {cid!r}")
-        closed |= X.closure_of(cid)
+        frontier.add(cid)
+    closed: set[str] = set()
+    while frontier:  # one pass per layer of faces
+        closed |= frontier
+        frontier = {rec.child for cid in frontier for rec in X._facets[cid]} - closed
     return frozenset(closed)
 
 

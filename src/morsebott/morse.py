@@ -111,6 +111,8 @@ def collections(X: Complex, f: DiscreteFunction) -> list[Collection]:
 
     Two same-value cells are joined whenever their closures share a cell,
     extended transitively; this is path-connectedness of the closure union.
+    Each member's closure is walked down to the cells an earlier walk owns,
+    whose whole closures are already owned, so every meeting is found.
     """
     _require_total(X, f)
     by_value: dict[Fraction, list[str]] = {}
@@ -128,15 +130,16 @@ def collections(X: Complex, f: DiscreteFunction) -> list[Collection]:
                 a = parent[a]
             return a
 
-        seen_at: dict[str, str] = {}
+        owner: dict[str, str] = {}
         for cid in members:
-            for low in X.closure_of(cid):
-                if low in seen_at:
-                    ra, rb = find(cid), find(seen_at[low])
-                    if ra != rb:
-                        parent[ra] = rb
+            stack = [cid]
+            while stack:
+                low = stack.pop()
+                if low in owner:
+                    parent[find(cid)] = find(owner[low])
                 else:
-                    seen_at[low] = cid
+                    owner[low] = cid
+                    stack += [rec.child for rec in X.facet_records(low)]
         groups: dict[str, set[str]] = {}
         for cid in members:
             groups.setdefault(find(cid), set()).add(cid)
