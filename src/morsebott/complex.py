@@ -232,7 +232,7 @@ def closure(X: Complex, S: Iterable[str]) -> frozenset[str]:
             raise ValueError(f"unknown cell id {cid!r}")
         frontier.add(cid)
     closed: set[str] = set()
-    while frontier:  # one pass per layer of faces
+    while frontier:
         closed |= frontier
         frontier = {rec.child for cid in frontier for rec in X._facets[cid]} - closed
     return frozenset(closed)

@@ -15,7 +15,7 @@ from conftest import closure_partition, facet_closure
 from data.make_golden import irregular_cw
 from morsebott import DiscreteFunction, build_from_incidence, closure, collections, validate
 from morsebott.cli import run
-from morsebott.io import MAX_DIM
+from morsebott.io import MAX_DIM, serialize_complex, serialize_function
 from test_order_types import MORSE_BOTT, build, order_types
 
 
@@ -74,10 +74,7 @@ def test_deep_chain_walks():
 def test_deep_chain_report(tmp_path, capsys):
     X = deep_chain()
     complex_file, function_file = tmp_path / "chain.cw", tmp_path / "chain.val"
-    complex_file.write_text(
-        "".join(f"cell {cid} {X.dim(cid)}\n" for cid in X.ids())
-        + "".join(f"face {r.parent} {r.child} 0 i\n" for r in X.faces)
-    )
-    function_file.write_text("".join(f"value {cid} {X.dim(cid)}\n" for cid in X.ids()))
+    complex_file.write_text(serialize_complex(X))
+    function_file.write_text(serialize_function(DiscreteFunction.by_dimension(X), X))
     assert run(["report", str(complex_file), str(function_file)]) == 0
     assert capsys.readouterr().err == ""
